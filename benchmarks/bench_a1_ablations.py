@@ -4,8 +4,7 @@ Two internal mechanisms make the E5 speedups possible; each is ablated
 here to show it earns its keep:
 
 * **A1 — exact derived deltas.**  The maintained engine hands the EES
-  check exact grown/shrunk sets (with a BES snapshot diff as the
-  recompute-mode equivalent).  Without them the checker stays sound but
+  check exact grown/shrunk sets.  Without them the checker stays sound but
   over-approximates (grown predicates are seeded with their *whole*
   extension; shrunk ones force full constraint rechecks).
 * **A2 — predicate-level invalidation.**  The engine recomputes only
@@ -54,8 +53,7 @@ def test_a1_delta_without_snapshot(benchmark, world):
     additions, deletions = session.net_delta()
 
     def check():
-        return manager.model.checker.check_delta(additions, deletions,
-                                                 derived_before=None)
+        return manager.model.checker.check_delta(additions, deletions)
 
     result = benchmark(check)
     assert result.consistent  # sound either way
@@ -87,7 +85,7 @@ def test_a_report(benchmark, report, report_json):
              f"({N_TYPES}-type schema, one evolution step)", "",
              f"delta check, exact derived deltas (full design): "
              f"{with_snapshot:>9.2f} ms",
-             f"delta check, no BES snapshot (over-approx.):     "
+             f"delta check, no exact delta (over-approx.):      "
              f"{without_snapshot:>9.2f} ms   "
              f"({without_snapshot / with_snapshot:.1f}x)",
              f"delta check, forced full rematerialization:      "

@@ -2,37 +2,32 @@
 
 The paper defers checking to the end of an evolution session and cites
 compiled/incremental checking for efficiency.  This benchmark compares
-three EES strategies after a single evolution step, across schema sizes:
+the two EES strategies after a single evolution step, across schema
+sizes:
 
 * ``full`` — the naive full check (every premise instantiation);
-* ``snapshot`` — the delta-seeded check fed by a BES ``snapshot_derived``
-  copy of the IDB, diffed at EES (the pre-maintenance delta path; the
-  per-session snapshot cost is included in the measurement);
 * ``delta`` — the delta-seeded check fed directly by the engine's
-  incremental view maintenance (exact grown/shrunk sets, no snapshot).
+  incremental view maintenance (exact grown/shrunk sets).
 
-The claims reproduced: the incremental checks win and the gap grows with
-schema size, and the maintained delta check beats the snapshot path by
-eliminating the O(IDB) copy — session cost proportional to the delta,
-not the schema.
+The claim reproduced: the incremental check wins and the gap grows with
+schema size — session cost proportional to the delta, not the schema.
 """
 
 import random
 
 import pytest
 
-from repro.datalog.checker import snapshot_derived
 from repro.manager import SchemaManager
 from repro.workloads.synthetic import generate_schema, random_evolution
 
 SIZES = (50, 150, 400)
-MODES = ("delta", "snapshot", "full")
+MODES = ("delta", "full")
 
 _RESULTS = {}
 
 
-def make_session(n_types, maintenance):
-    manager = SchemaManager(maintenance=maintenance)
+def make_session(n_types):
+    manager = SchemaManager()
     schema = generate_schema(manager, n_types, seed=100 + n_types)
     manager.model.db.materialize()
     session = manager.begin_session(check_mode="delta")
@@ -43,26 +38,9 @@ def make_session(n_types, maintenance):
 @pytest.mark.parametrize("n_types", SIZES)
 @pytest.mark.parametrize("mode", MODES)
 def test_e5_check_scaling(benchmark, mode, n_types):
-    # The snapshot column runs against a recompute engine (the old
-    # path); the other two use the maintained default.
-    session = make_session(
-        n_types, "recompute" if mode == "snapshot" else "delta")
+    session = make_session(n_types)
     benchmark.group = f"E5 n={n_types}"
-
-    if mode == "snapshot":
-        # Per-session cost of the snapshot-based delta path: the BES
-        # O(IDB) copy plus the EES diff-driven check.
-        def check():
-            snapshot_derived(session.model.db)
-            return session.check("delta")
-    elif mode == "delta":
-        def check():
-            return session.check("delta")
-    else:
-        def check():
-            return session.check("full")
-
-    result = benchmark(check)
+    result = benchmark(lambda: session.check(mode))
     assert result.consistent
     _RESULTS[(n_types, mode)] = benchmark.stats.stats.mean
 
@@ -72,40 +50,30 @@ def test_e5_report(benchmark, report, report_json):
     if len(_RESULTS) < len(MODES) * len(SIZES):
         pytest.skip("scaling benchmarks did not run")
     lines = ["E5 — incremental vs naive full consistency check at EES", "",
-             f"{'types':>6} {'full (ms)':>12} {'snapshot (ms)':>14} "
-             f"{'delta (ms)':>12} {'vs full':>8} {'vs snap':>8}"]
+             f"{'types':>6} {'full (ms)':>12} {'delta (ms)':>12} "
+             f"{'vs full':>8}"]
     speedups = []
     points = []
     for n_types in SIZES:
         full = _RESULTS[(n_types, "full")] * 1000
-        snapshot = _RESULTS[(n_types, "snapshot")] * 1000
         delta = _RESULTS[(n_types, "delta")] * 1000
         speedups.append(full / delta)
         points.append({"types": n_types, "full_ms": round(full, 4),
-                       "snapshot_ms": round(snapshot, 4),
                        "delta_ms": round(delta, 4),
-                       "speedup_vs_full": round(full / delta, 2),
-                       "speedup_vs_snapshot": round(snapshot / delta, 2)})
-        lines.append(f"{n_types:>6} {full:>12.2f} {snapshot:>14.2f} "
-                     f"{delta:>12.2f} {full / delta:>7.1f}x "
-                     f"{snapshot / delta:>7.1f}x")
+                       "speedup_vs_full": round(full / delta, 2)})
+        lines.append(f"{n_types:>6} {full:>12.2f} {delta:>12.2f} "
+                     f"{full / delta:>7.1f}x")
     lines.append("")
     holds = speedups[-1] > speedups[0] > 1
     lines.append("paper's claim: checking at EES is efficient (delta-based);"
                  " shape check: speedup grows with schema size -> "
                  + ("HOLDS" if holds else "DOES NOT HOLD"))
-    maintained_wins = points[-1]["speedup_vs_snapshot"]
-    lines.append(f"view maintenance: delta check beats the snapshot path "
-                 f"{maintained_wins:.1f}x at n={SIZES[-1]} "
-                 f"(target: >= 5x)")
     report("e5_incremental", "\n".join(lines))
     report_json("e5_incremental", {
         "experiment": "e5_incremental",
-        "claim": "delta check beats naive full check, gap grows with size; "
-                 "maintained delta beats the BES-snapshot path",
+        "claim": "delta check beats naive full check, gap grows with size",
         "holds": holds,
         "points": points,
     })
     assert speedups[0] > 1
     assert speedups[-1] > speedups[0]
-    assert maintained_wins >= 5

@@ -7,9 +7,9 @@ engine's ``maintenance=`` flag:
 
 * ``delta`` — incremental view maintenance: ops propagate their deltas
   in place, EES consumes the exact grown/shrunk sets;
-* ``recompute`` — the baseline: ops invalidate, BES pays the
-  ``snapshot_derived`` copy, first read after each op re-saturates the
-  affected predicates.
+* ``recompute`` — the baseline: ops invalidate, the first read after
+  each op re-saturates the affected predicates, and the delta check
+  takes its conservative (counted) fallback for lack of an exact delta.
 
 Reported as per-op latency so the numbers stay comparable across stream
 shapes (many tiny sessions vs. one long session).

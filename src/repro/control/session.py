@@ -29,7 +29,7 @@ from repro.errors import (
     SessionClosedError,
     InconsistentSchemaError,
 )
-from repro.datalog.checker import CheckReport, Violation, snapshot_derived
+from repro.datalog.checker import CheckReport, Violation
 from repro.datalog.plan import EngineStats
 from repro.datalog.repair import NewConstant, Repair, RepairAction
 from repro.datalog.terms import Atom
@@ -133,22 +133,18 @@ class EvolutionSession:
         # Interned row sets, not decoded values: rollback restores codes
         # straight into the columns without re-interning anything.
         self._snapshot = model.db.edb.snapshot_codes()
-        # Exact derived deltas for the EES incremental check.  With the
-        # engine maintaining its views ("delta" maintenance), materialize
+        # Exact derived deltas for the EES incremental check: materialize
         # once and let the engine account grown/shrunk sets as the
-        # session's changes propagate — no O(IDB) snapshot copy.  The
-        # reset happens at every BES regardless of this session's check
-        # mode: the accumulator baseline must be *this* session's BES, or
-        # a later delta check would net this session's changes against a
-        # previous session's (a grow there cancelling a shrink here masks
-        # the shrink entirely).  Only the recompute engine still pays for
-        # the BES snapshot, and only when it will be consumed.
-        self._derived_before = None
+        # session's changes propagate.  The reset happens at every BES
+        # regardless of this session's check mode: the accumulator
+        # baseline must be *this* session's BES, or a later delta check
+        # would net this session's changes against a previous session's
+        # (a grow there cancelling a shrink here masks the shrink
+        # entirely).  The recompute reference engine accounts nothing;
+        # its delta checks take the checker's counted fallback.
         if model.db.maintenance == "delta":
             model.db.materialize()
             model.db.reset_derived_delta()
-        elif check_mode == "delta":
-            self._derived_before = snapshot_derived(model.db)
         self._net: Dict[Atom, int] = {}
         #: Runtime-side compensation callbacks (object-base undo).  The
         #: EDB restores from its BES snapshot on rollback, but cures and
@@ -270,7 +266,6 @@ class EvolutionSession:
             if mode == "delta":
                 report = self.model.checker.check_delta(
                     additions, deletions,
-                    derived_before=self._derived_before,
                     derived_delta=self.model.db.derived_delta())
             else:
                 report = self.model.checker.check()
@@ -382,7 +377,7 @@ class EvolutionSession:
         # the one escape hatch (a mutation that bypassed the session),
         # in which case we fall back to the snapshot restore.
         restored = attempted = False
-        if db.maintenance == "delta" and db.derived_delta() is not None:
+        if db.maintenance == "delta" and db.derived_delta_exact:
             attempted = True
             additions, deletions = self.net_delta()
             if additions or deletions:

@@ -4,7 +4,9 @@ The *Consistency Control* defers checking to the end of an evolution
 session (EES).  Two strategies are provided:
 
 * :meth:`ConsistencyChecker.check` — the naive baseline: enumerate every
-  premise instantiation of every constraint;
+  premise instantiation of every constraint, one constraint after the
+  other (a thread-pool fan-out lived here once; under the GIL it was
+  8–32 % slower than this loop at 60–400 types and was deleted);
 * :meth:`ConsistencyChecker.check_delta` — the efficient check in the
   spirit of Moerkotte & Rösch: only constraint instantiations that can be
   *newly violated* by a given update are enumerated, by seeding premise
@@ -18,11 +20,11 @@ exactly the violations present afterwards.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import PlanningError
 from repro.datalog.builtins import Comparison, compare_values
 from repro.datalog.constraints import (
     Conclusion,
@@ -32,26 +34,8 @@ from repro.datalog.constraints import (
     FalseConclusion,
 )
 from repro.datalog.engine import DeductiveDatabase
-from repro.datalog.plan import EngineStats, _resolve_bound_vars
+from repro.datalog.plan import _resolve_bound_vars
 from repro.datalog.terms import Atom, Literal, Substitution, Variable, match, unify
-
-#: Marks threads that already run on a shared reader pool.  A parallel
-#: check started from such a thread would submit to the pool it is
-#: itself occupying and wait — with every worker in the same position
-#: that is a deadlock — so :meth:`ConsistencyChecker.check` silently
-#: degrades to the serial path there.
-_POOL_WORKER = threading.local()
-
-
-def mark_pool_worker(active: bool) -> None:
-    """Flag the current thread as a reader-pool worker (or clear it)."""
-    _POOL_WORKER.active = active
-
-
-def in_pool_worker() -> bool:
-    """Is the current thread a reader-pool worker?"""
-    return getattr(_POOL_WORKER, "active", False)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -163,24 +147,13 @@ class ConsistencyChecker:
 
     # -- full check --------------------------------------------------------------
 
-    def check(self, constraints: Optional[Sequence[Constraint]] = None,
-              pool=None) -> CheckReport:
-        """Full check: enumerate every premise instantiation.
-
-        With *pool* (a ``ThreadPoolExecutor``), independent constraints
-        fan out across the pool's workers, each counting into a private
-        :class:`~repro.datalog.plan.EngineStats` that is merged back at
-        the end; the violation list is assembled in constraint order, so
-        the report is identical to a serial check regardless of worker
-        count.  Called from a pool worker thread (a read task), the
-        check degrades to serial instead of deadlocking on its own pool.
-        """
+    def check(self, constraints: Optional[Sequence[Constraint]] = None
+              ) -> CheckReport:
+        """Full check: enumerate every premise instantiation."""
         start = time.perf_counter()
         stats = self.database.stats
         targets = list(constraints) if constraints is not None \
             else list(self._constraints)
-        if pool is not None and len(targets) > 1 and not in_pool_worker():
-            return self._check_parallel(targets, pool, start)
         stats.checks_run += 1
         violations: List[Violation] = []
         seen: Set[Tuple] = set()
@@ -209,79 +182,18 @@ class ConsistencyChecker:
                            constraints_checked=len(targets),
                            elapsed_seconds=elapsed, mode="full")
 
-    def _check_parallel(self, targets: List[Constraint], pool,
-                        start: float) -> CheckReport:
-        """Fan independent constraints across *pool*'s worker threads.
-
-        The database is materialized up front (saturation is not
-        thread-safe; concurrent reads of a saturated extension are).
-        Results are gathered and deduplicated in submission order, so
-        the violation list — and therefore repair enumeration — is
-        deterministic for any worker count.
-        """
-        database = self.database
-        if hasattr(database, "materialize"):
-            database.materialize()
-        stats = database.stats
-        stats.checks_run += 1
-        tracer = database.obs.tracer
-
-        def task(constraint: Constraint
-                 ) -> Tuple[List[Violation], EngineStats]:
-            worker_stats = EngineStats()
-            mark_pool_worker(True)
-            try:
-                constraint_start = time.perf_counter()
-                found = list(self._check_constraint(constraint,
-                                                    stats=worker_stats))
-                worker_stats.record_constraint(
-                    constraint.name,
-                    time.perf_counter() - constraint_start)
-                return found, worker_stats
-            finally:
-                mark_pool_worker(False)
-
-        violations: List[Violation] = []
-        seen: Set[Tuple] = set()
-        with tracer.span("check.parallel", constraints=len(targets)) as span:
-            futures = [pool.submit(task, constraint)
-                       for constraint in targets]
-            for constraint, future in zip(targets, futures):
-                found, worker_stats = future.result()
-                stats.merge(worker_stats)
-                for violation in found:
-                    key = _violation_key(constraint, violation.substitution)
-                    if key not in seen:
-                        seen.add(key)
-                        violations.append(violation)
-            span.set("violations", len(violations))
-        workers = getattr(pool, "_max_workers", 0) or 1
-        stats.parallel_check_workers = max(stats.parallel_check_workers,
-                                           min(workers, len(targets)))
-        stats.constraints_checked += len(targets)
-        stats.violations_found += len(violations)
-        elapsed = time.perf_counter() - start
-        return CheckReport(violations=violations,
-                           constraints_checked=len(targets),
-                           elapsed_seconds=elapsed, mode="full")
-
     def _check_constraint(self, constraint: Constraint,
-                          seed: Optional[Substitution] = None,
-                          stats: Optional[EngineStats] = None
-                          ) -> Iterator[Violation]:
-        if getattr(self.database, "executor", "interpreted") == "compiled":
-            found = self._check_constraint_compiled(constraint, seed, stats)
-            if found is not None:
-                yield from found
-                return
-        for theta in self.database.query(constraint.premise, seed):
-            if not self._conclusion_holds(constraint.conclusion, theta):
-                yield self._make_violation(constraint, theta)
+                          seed: Optional[Substitution] = None
+                          ) -> Iterable[Violation]:
+        if self.database.executor == "compiled":
+            return self._check_constraint_compiled(constraint, seed)
+        return [self._make_violation(constraint, theta)
+                for theta in self.database.query(constraint.premise, seed)
+                if not self._conclusion_holds(constraint.conclusion, theta)]
 
     def _check_constraint_compiled(self, constraint: Constraint,
-                                   seed: Optional[Substitution],
-                                   stats: Optional[EngineStats]
-                                   ) -> Optional[List[Violation]]:
+                                   seed: Optional[Substitution]
+                                   ) -> List[Violation]:
         """One constraint through the compiled executor, code-level.
 
         The premise closure yields raw register tuples; the conclusion
@@ -292,23 +204,15 @@ class ConsistencyChecker:
         lookup and binding resolution of the generic path (the dominant
         cost of a full check) are hoisted out of the row loop entirely.
         A substitution is decoded only for the rows that violate.
-        Returns None when the premise cannot take the compiled path.
         """
-        from repro.datalog.compiled import _initial_codes, compiled_for
+        from repro.datalog.compiled import compiled_for, run_codes
 
         database = self.database
-        if stats is None:
-            stats = database.stats
+        stats = database.stats
         premise = constraint.premise
         plan = database.planner.plan(
             premise, _resolve_bound_vars(seed, premise))
-        if not plan.use_compiled(database):
-            return None  # cold plan: one more interpreted run
-        compiled = compiled_for(plan, database)
-        init = _initial_codes(plan, database, seed, compiled.bound_slots)
-        if init is None:
-            return None
-        rows = compiled.runner(database, init, 0, stats)
+        compiled, rows = run_codes(plan, database, seed)
         if not rows:
             return []
         symbols = database.symbols
@@ -321,6 +225,15 @@ class ConsistencyChecker:
                 theta[var] = values[regs[slot]]
             return theta
 
+        def slot_of(var: Variable) -> int:
+            slot = var_slots.get(var)
+            if slot is None:
+                # Constraint construction checks range restriction.
+                raise PlanningError(
+                    f"conclusion of {constraint.name} reads {var!r}, "
+                    f"which its premise never binds")
+            return slot
+
         conclusion = constraint.conclusion
         violations: List[Violation] = []
         if isinstance(conclusion, FalseConclusion):
@@ -330,17 +243,13 @@ class ConsistencyChecker:
             return violations
 
         if isinstance(conclusion, EqualityConclusion):
-            # (op, (is_slot, slot-or-value), (is_slot, slot-or-value));
-            # every universal variable is premise-bound, hence slotted.
+            # (op, (is_slot, slot-or-value), (is_slot, slot-or-value)).
             tests = []
             for comparison in conclusion.comparisons:
                 sides = []
                 for term in (comparison.left, comparison.right):
                     if isinstance(term, Variable):
-                        slot = var_slots.get(term)
-                        if slot is None:
-                            return None
-                        sides.append((True, slot))
+                        sides.append((True, slot_of(term)))
                     else:
                         sides.append((False, term))
                 tests.append((comparison.op, sides[0], sides[1]))
@@ -378,13 +287,10 @@ class ConsistencyChecker:
                 )
                 disjunct_plan = database.planner.plan(body, bound)
                 disjunct_compiled = compiled_for(disjunct_plan, database)
-                try:
-                    pairs = tuple(
-                        (var_slots[var], disjunct_plan.var_slots[var])
-                        for var in bound
-                    )
-                except KeyError:
-                    return None  # universal var the premise never slots
+                pairs = tuple(
+                    (slot_of(var), disjunct_plan.var_slots[var])
+                    for var in bound
+                )
                 probes.append((disjunct_compiled.runner,
                                disjunct_plan.nslots, pairs))
             for regs in rows:
@@ -439,8 +345,6 @@ class ConsistencyChecker:
 
     def check_delta(self, additions: Iterable[Atom],
                     deletions: Iterable[Atom],
-                    derived_before: Optional[Dict[str, Set[Tuple[object, ...]]]]
-                    = None,
                     derived_delta: Optional[Dict[str, Tuple[Set[Atom],
                                                             Set[Atom]]]]
                     = None) -> CheckReport:
@@ -449,14 +353,13 @@ class ConsistencyChecker:
         The update must already be applied to the database; *additions* /
         *deletions* describe it.  Sound and complete relative to a
         consistent pre-update state.  Exact derived-predicate deltas come
-        from one of two sources, preferred in order: *derived_delta* —
-        the per-predicate (grown, shrunk) sets accumulated by the
-        engine's view maintenance
-        (:meth:`~repro.datalog.engine.DeductiveDatabase.derived_delta`) —
-        or *derived_before*, a :func:`snapshot_derived` copy taken before
-        the update, diffed here at O(IDB) cost.  With neither, the
-        checker falls back to a sound but slow over-approximation, which
-        is counted in ``EngineStats.delta_fallbacks``.
+        from *derived_delta* — the per-predicate (grown, shrunk) sets
+        accumulated by the engine's view maintenance
+        (:meth:`~repro.datalog.engine.DeductiveDatabase.derived_delta`).
+        Without it (the accounting was tainted, or the engine recomputes
+        instead of maintaining) the checker falls back to a sound but
+        slow over-approximation, which is counted in
+        ``EngineStats.delta_fallbacks``.
         """
         start = time.perf_counter()
         additions = list(additions)
@@ -473,7 +376,7 @@ class ConsistencyChecker:
             deleted_facts.setdefault(fact.pred, []).append(fact)
         self._extend_with_derived_deltas(may_grow, may_shrink,
                                          added_facts, deleted_facts,
-                                         derived_before, derived_delta)
+                                         derived_delta)
 
         stats = self.database.stats
         stats.checks_run += 1
@@ -549,22 +452,18 @@ class ConsistencyChecker:
                                     may_shrink: Set[str],
                                     added_facts: Dict[str, List[Atom]],
                                     deleted_facts: Dict[str, List[Atom]],
-                                    derived_before: Optional[
-                                        Dict[str, Set[Tuple[object, ...]]]],
                                     derived_delta: Optional[
                                         Dict[str, Tuple[Set[Atom],
-                                                        Set[Atom]]]] = None
+                                                        Set[Atom]]]]
                                     ) -> None:
         """Obtain concrete derived deltas for affected derived predicates.
 
         A maintained *derived_delta* is exact and free (the engine
-        already knows which derived facts grew/shrank); a
-        *derived_before* snapshot is exact but costs a diff of the
-        affected predicate's extension.  With neither, grown predicates
-        are over-approximated by their full current extension, and shrunk
-        predicates force a full recheck of the constraints reading them
-        (marked with the ``<pred>!full`` sentinel consumed by
-        :meth:`_seeded_checks`) — sound in all cases, but the last is the
+        already knows which derived facts grew/shrank).  Without one,
+        grown predicates are over-approximated by their full current
+        extension, and shrunk predicates force a full recheck of the
+        constraints reading them (marked with the ``<pred>!full``
+        sentinel consumed by :meth:`_seeded_checks`) — sound, but the
         slow path, so falling into it is counted.
         """
         fallbacks = 0
@@ -575,21 +474,14 @@ class ConsistencyChecker:
                 grown, shrunk = derived_delta.get(pred, ((), ()))
                 added_facts.setdefault(pred, []).extend(grown)
                 deleted_facts.setdefault(pred, []).extend(shrunk)
-            elif derived_before is not None and pred in derived_before:
-                after = {fact.args for fact in self.database.facts(pred)}
-                before = derived_before[pred]
-                for args in after - before:
-                    added_facts.setdefault(pred, []).append(Atom(pred, args))
-                for args in before - after:
-                    deleted_facts.setdefault(pred, []).append(Atom(pred, args))
             else:
                 fallbacks += 1
                 if pred in may_grow:
                     added_facts.setdefault(pred, []).extend(
                         self.database.facts(pred))
-                # Shrunk derived facts are gone; without a snapshot the
-                # conclusion-side recheck must fall back to a full pass
-                # over the constraint, handled in _seeded_checks.
+                # Shrunk derived facts are gone; the conclusion-side
+                # recheck must fall back to a full pass over the
+                # constraint, handled in _seeded_checks.
                 if pred in may_shrink:
                     deleted_facts.setdefault(pred, [])
                     deleted_facts[pred + "!full"] = []
@@ -652,20 +544,3 @@ class ConsistencyChecker:
                         for violation in self._check_constraint(
                                 constraint, seed):
                             yield from emit(violation)
-
-
-def snapshot_derived(database: DeductiveDatabase,
-                     preds: Optional[Iterable[str]] = None
-                     ) -> Dict[str, Set[Tuple[object, ...]]]:
-    """Snapshot derived extensions for later exact delta computation.
-
-    The session layer calls this at BES (begin of evolution session) and
-    hands the result to :meth:`ConsistencyChecker.check_delta` at EES.
-    """
-    if preds is None:
-        preds = [p for p in database.program.derived_predicates()]
-    return {
-        pred: {fact.args for fact in database.facts(pred)}
-        for pred in preds
-        if database.is_derived(pred)
-    }

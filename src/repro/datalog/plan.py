@@ -78,15 +78,12 @@ class EngineStats:
     plans_compiled: int = 0
     plan_cache_hits: int = 0
     #: Cached join plans lowered to specialized closures by the compiled
-    #: executor (:mod:`repro.datalog.compiled`); each plan compiles at
-    #: most once per execution mode.
+    #: executor (:mod:`repro.datalog.compiled`), once per plan, on its
+    #: first execution.
     compiled_plans: int = 0
     #: Fact-insertion constants that were already interned — the symbol
     #: table's hit count at the store boundary.
     intern_hits: int = 0
-    #: Worker threads the most recent parallel full check fanned
-    #: constraints across (0 = every check so far ran serially).
-    parallel_check_workers: int = 0
     checks_run: int = 0
     constraints_checked: int = 0
     violations_found: int = 0
@@ -97,9 +94,9 @@ class EngineStats:
     maint_deleted: int = 0
     maint_rederived: int = 0
     maint_ms: float = 0.0
-    #: Times an incremental check had neither an exact derived delta nor
-    #: a BES snapshot and fell back to the conservative slow path — a
-    #: correctly configured session should keep this at zero.
+    #: Times an incremental check had no exact derived delta and fell
+    #: back to the conservative slow path — a delta-maintained session
+    #: keeps this at zero.
     delta_fallbacks: int = 0
     # Durability counters (threaded in by repro.storage when the model
     # is backed by an evolution log).
@@ -118,37 +115,6 @@ class EngineStats:
         self.constraint_seconds[name] = (
             self.constraint_seconds.get(name, 0.0) + seconds
         )
-
-    #: Fields :meth:`merge` folds in by summation (everything countable;
-    #: timings in ms/seconds sum too — parallel workers report the CPU
-    #: time they spent, wall time stays the merged context's own).
-    _MERGE_SUM_FIELDS = (
-        "facts_scanned", "index_lookups", "index_intersections",
-        "join_tuples", "negation_checks", "comparisons_evaluated",
-        "plans_compiled", "plan_cache_hits", "compiled_plans",
-        "intern_hits", "checks_run", "constraints_checked",
-        "violations_found", "maint_insert_rounds", "maint_deleted",
-        "maint_rederived", "maint_ms", "delta_fallbacks", "wal_records",
-        "wal_bytes", "wal_fsyncs", "replay_sessions", "replay_records",
-        "replay_seconds",
-    )
-
-    def merge(self, other: "EngineStats") -> "EngineStats":
-        """Fold another context's counters into this one (in place).
-
-        Used by the parallel constraint check: each pool worker counts
-        into a private ``EngineStats`` and the coordinator merges them
-        all at the end, so per-worker accounting never races.  Counter
-        fields sum; per-constraint timings accumulate by name;
-        ``parallel_check_workers`` keeps the maximum fan-out seen.
-        """
-        for name in self._MERGE_SUM_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.parallel_check_workers = max(self.parallel_check_workers,
-                                          other.parallel_check_workers)
-        for name, seconds in other.constraint_seconds.items():
-            self.record_constraint(name, seconds)
-        return self
 
     def finish(self) -> "EngineStats":
         """Stamp the end of the instrumented window (idempotent)."""
@@ -188,7 +154,6 @@ class EngineStats:
             "plan_cache_hit_rate": round(self.plan_cache_hit_rate, 4),
             "compiled_plans": self.compiled_plans,
             "intern_hits": self.intern_hits,
-            "parallel_check_workers": self.parallel_check_workers,
             "checks_run": self.checks_run,
             "constraints_checked": self.constraints_checked,
             "violations_found": self.violations_found,
@@ -226,9 +191,6 @@ class EngineStats:
             f"({self.constraints_checked} constraint evaluations, "
             f"{self.violations_found} violations)",
         ]
-        if self.parallel_check_workers:
-            lines.append(f"  parallel checking:  "
-                         f"{self.parallel_check_workers} worker(s)")
         if self.maint_insert_rounds or self.maint_deleted:
             lines.append(f"  view maintenance:   "
                          f"{self.maint_insert_rounds} insert round(s), "
@@ -432,19 +394,18 @@ def compile_plan(database, body: Sequence[object],
                     bound_vars=initial_bound)
 
 
-#: Interpreted executions a plan gets before the compiled executor
-#: lowers it to a closure.  Lowering costs one ``compile()`` of a small
-#: function — trivial against any hot loop, but pure loss for the many
-#: plans that run once or twice (a fresh engine per test, a one-off
-#: query), so cold plans stay on the interpreter.
-COMPILE_AFTER = 2
-
-
 class JoinPlan:
-    """A compiled evaluation order for one conjunctive body."""
+    """A compiled evaluation order for one conjunctive body.
+
+    A database whose ``executor`` is ``"compiled"`` runs the plan as a
+    closure (:mod:`repro.datalog.compiled`), lowered on first execution.
+    ``"interpreted"`` walks the step list with :meth:`_run_supports`,
+    the reference implementation the differential oracles compare
+    against; no other configuration reaches it.
+    """
 
     __slots__ = ("body", "steps", "var_slots", "bound_vars", "nslots",
-                 "_cc", "_runs")
+                 "_cc")
 
     def __init__(self, body: Tuple[object, ...], steps: Tuple[_Step, ...],
                  var_slots: Dict[Variable, int],
@@ -458,23 +419,6 @@ class JoinPlan:
         #: lives and dies with the plan, so planner cache invalidation
         #: (rule changes, cardinality growth) discards closures too.
         self._cc = None
-        #: Interpreted executions so far (tiering counter, see
-        #: :data:`COMPILE_AFTER`).
-        self._runs = 0
-
-    def use_compiled(self, database) -> bool:
-        """Should this execution take the compiled path?
-
-        True when the database runs the compiled executor *and* the
-        plan is warm (already lowered, or past :data:`COMPILE_AFTER`
-        interpreted runs — which this call counts).
-        """
-        if getattr(database, "executor", "interpreted") != "compiled":
-            return False
-        if self._cc is not None or self._runs >= COMPILE_AFTER:
-            return True
-        self._runs += 1
-        return False
 
     # -- introspection -------------------------------------------------------
 
@@ -531,14 +475,13 @@ class JoinPlan:
                       theta: Optional[Substitution] = None
                       ) -> Iterator[Substitution]:
         """Yield substitutions satisfying the body (no provenance)."""
-        if self.use_compiled(database):
+        if database.executor == "compiled":
             from repro.datalog.compiled import run_substitutions
-            results = run_substitutions(self, database, theta)
-            if results is not None:
-                yield from results
-                return
+            yield from run_substitutions(self, database, theta)
+            return
         regs = self._initial_registers(theta)
-        for final in self._run(database, 0, regs):
+        for final, _pos, _neg in self._run_supports(database, 0, regs,
+                                                    (), ()):
             yield self._substitution(final, theta)
 
     def probe(self, database,
@@ -549,98 +492,41 @@ class JoinPlan:
         interpreted one relies on generator laziness for the same
         short-circuit.
         """
-        if self.use_compiled(database):
+        if database.executor == "compiled":
             from repro.datalog.compiled import probe
-            result = probe(self, database, theta)
-            if result is not None:
-                return result
+            return probe(self, database, theta)
         regs = self._initial_registers(theta)
-        return next(self._run(database, 0, regs), None) is not None
-
-    def _run(self, database, index: int, regs: List[object]
-             ) -> Iterator[List[object]]:
-        if index == len(self.steps):
-            yield regs
-            return
-        step = self.steps[index]
-        kind = step.kind
-        stats = database.stats
-        if kind == _SCAN:
-            relation = database.relation(step.pred)
-            pattern: List[object] = [None] * step.arity
-            for position, value in step.fixed:
-                pattern[position] = value
-            for position, slot in step.bound:
-                pattern[position] = regs[slot]
-            outs = step.outs
-            next_index = index + 1
-            for row in relation.lookup(pattern):
-                new = regs[:]
-                ok = True
-                for position, slot in outs:
-                    value = row[position]
-                    current = new[slot]
-                    if current is UNBOUND:
-                        new[slot] = value
-                    elif current != value:
-                        ok = False
-                        break
-                if ok:
-                    stats.join_tuples += 1
-                    yield from self._run(database, next_index, new)
-        elif kind == _NEG:
-            row = tuple(regs[value] if is_slot else value
-                        for is_slot, value in step.args)
-            stats.negation_checks += 1
-            if not database.relation(step.pred).__contains__(row):
-                yield from self._run(database, index + 1, regs)
-        elif kind == _CMP:
-            (left_slot, left), (right_slot, right) = step.args
-            left_value = regs[left] if left_slot else left
-            right_value = regs[right] if right_slot else right
-            stats.comparisons_evaluated += 1
-            if compare_values(step.op, left_value, right_value):
-                yield from self._run(database, index + 1, regs)
-        else:  # _BIND
-            is_slot, source = step.source
-            value = regs[source] if is_slot else source
-            current = regs[step.slot]
-            if current is UNBOUND:
-                new = regs[:]
-                new[step.slot] = value
-                yield from self._run(database, index + 1, new)
-            elif current == value:
-                yield from self._run(database, index + 1, regs)
+        return next(self._run_supports(database, 0, regs, (), ()),
+                    None) is not None
 
     def derivations(self, database,
                     theta: Optional[Substitution] = None
                     ) -> Iterator[Tuple[Substitution, Tuple[Atom, ...],
                                         Tuple[Atom, ...]]]:
-        """Yield ``(substitution, positive_supports, negative_supports)``.
+        """Yield ``(substitution, positive_supports, negative_supports)``
+        from the interpreted reference executor.
 
         Supports are reported in *body order* (not plan order) so a
         derivation found through differently-seeded plans has one stable
-        identity in the provenance index.
+        identity in the provenance index.  The compiled engine never
+        comes here: it decodes head fact and supports straight from the
+        closure's registers
+        (:func:`repro.datalog.compiled.run_rule_derivations`).
         """
-        if self.use_compiled(database):
-            from repro.datalog.compiled import run_derivations
-            results = run_derivations(self, database, theta)
-            if results is not None:
-                yield from results
-                return
         regs = self._initial_registers(theta)
         for final, pos, neg in self._run_supports(database, 0, regs,
                                                   (), ()):
-            pos_sorted = tuple(atom for _index, atom in sorted(
-                pos, key=lambda item: item[0]))
-            neg_sorted = tuple(atom for _index, atom in sorted(
-                neg, key=lambda item: item[0]))
-            yield self._substitution(final, theta), pos_sorted, neg_sorted
+            # Body indexes are unique, so sorting never compares rows.
+            yield (self._substitution(final, theta),
+                   tuple(Atom(pred, row) for _, pred, row in sorted(pos)),
+                   tuple(Atom(pred, row) for _, pred, row in sorted(neg)))
 
     def _run_supports(self, database, index: int, regs: List[object],
-                      pos: Tuple[Tuple[int, Atom], ...],
-                      neg: Tuple[Tuple[int, Atom], ...]
+                      pos: Tuple[Tuple[int, str, Tuple], ...],
+                      neg: Tuple[Tuple[int, str, Tuple], ...]
                       ) -> Iterator[Tuple[List[object], Tuple, Tuple]]:
+        """The interpreter: one recursive generator over the step list,
+        carrying ``(body_index, pred, row)`` per scanned / absent row."""
         if index == len(self.steps):
             yield regs, pos, neg
             return
@@ -669,7 +555,7 @@ class JoinPlan:
                         break
                 if ok:
                     stats.join_tuples += 1
-                    support = (step.body_index, Atom(step.pred, row))
+                    support = (step.body_index, step.pred, row)
                     yield from self._run_supports(
                         database, next_index, new, pos + (support,), neg)
         elif kind == _NEG:
@@ -677,7 +563,7 @@ class JoinPlan:
                         for is_slot, value in step.args)
             stats.negation_checks += 1
             if not database.relation(step.pred).__contains__(row):
-                absent = (step.body_index, Atom(step.pred, row))
+                absent = (step.body_index, step.pred, row)
                 yield from self._run_supports(database, index + 1, regs,
                                               pos, neg + (absent,))
         elif kind == _CMP:

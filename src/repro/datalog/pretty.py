@@ -77,8 +77,6 @@ def render_stats(stats: EngineStats, slowest: int = 5) -> str:
                      f"{stats.maint_deleted} over-deleted, "
                      f"{stats.maint_rederived} re-derived"])
         rows.append(["maintenance time", f"{stats.maint_ms:.2f} ms"])
-    if stats.parallel_check_workers:
-        rows.append(["parallel check workers", stats.parallel_check_workers])
     if stats.delta_fallbacks:
         rows.append(["delta fallbacks", stats.delta_fallbacks])
     if stats.wal_records or stats.wal_fsyncs:

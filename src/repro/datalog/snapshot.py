@@ -40,9 +40,8 @@ class SnapshotDatabase:
 
     def __init__(self, edb: FactStore, derived: FactStore,
                  stats: Optional[EngineStats] = None, obs=None,
-                 executor: Optional[str] = None) -> None:
+                 executor: str = "compiled") -> None:
         from repro.obs import NOOP_OBS
-        from repro.datalog.engine import resolve_executor
         self.edb = edb
         self._derived_store = derived
         self.stats = stats if stats is not None else EngineStats()
@@ -51,7 +50,7 @@ class SnapshotDatabase:
         #: symbol table is shared with the live database by reference
         #: (append-only, so codes recorded at export stay valid); query
         #: seeds interning new constants is safe from any thread.
-        self.executor = resolve_executor(executor)
+        self.executor = executor
         self.symbols = edb.symbols
         self.planner = QueryPlanner(self)
 

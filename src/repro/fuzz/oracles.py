@@ -3,7 +3,7 @@
 A generated history is replayed against three manager variants —
 
 * **primary**: durable (WAL + snapshots), delta maintenance, the
-  session's default executor, periodic checkpoints;
+  compiled executor, periodic checkpoints;
 * **recompute**: in-memory, clear-and-recompute maintenance;
 * **interpreted**: in-memory, delta maintenance, interpreted executor —
 

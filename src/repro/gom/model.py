@@ -310,7 +310,7 @@ class GomDatabase(SchemaReadMixin):
                  generate_references: bool = True,
                  maintenance: str = "delta",
                  obs=None,
-                 executor: Optional[str] = None) -> None:
+                 executor: str = "compiled") -> None:
         self.ids = IdFactory()
         #: Observability bundle shared with the engine (tracing / metrics
         #: / profiling); defaults to the free no-op bundle.
@@ -594,14 +594,9 @@ class SchemaSnapshot(SchemaReadMixin):
         """Seconds since this snapshot was published."""
         return time.monotonic() - self.published_at
 
-    def check(self, pool=None) -> CheckReport:
-        """Full consistency check of this epoch (safe from any thread).
-
-        Pass a ``ThreadPoolExecutor`` as *pool* to fan the constraints
-        out across its workers (see
-        :meth:`~repro.datalog.checker.ConsistencyChecker.check`).
-        """
-        return self.checker.check(pool=pool)
+    def check(self) -> CheckReport:
+        """Full consistency check of this epoch (safe from any thread)."""
+        return self.checker.check()
 
     @property
     def versions(self):

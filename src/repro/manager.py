@@ -47,18 +47,17 @@ class SchemaManager:
                  maintenance: str = "delta",
                  obs: Optional[Observability] = None,
                  trace=None, profile=None,
-                 executor: Optional[str] = None) -> None:
+                 executor: str = "compiled") -> None:
         """*maintenance* selects the engine's derived-predicate strategy
         when a fresh model is built: ``"delta"`` (incremental view
         maintenance, the default) or ``"recompute"`` (clear-and-recompute
-        baseline, kept for A/B benchmarking).  Ignored when *model* is
+        reference, kept for the oracles).  Ignored when *model* is
         supplied — the model's engine keeps its own setting.
 
         *executor* selects the join executor of a fresh model's engine:
         ``"compiled"`` plan closures (the default) or the
-        ``"interpreted"`` reference; None defers to the
-        ``REPRO_EXECUTOR`` environment variable.  Also ignored when
-        *model* is supplied.
+        ``"interpreted"`` reference the differential oracles compare
+        against.  Also ignored when *model* is supplied.
 
         Observability: pass a pre-built :class:`repro.obs.Observability`
         as *obs*, or use the switches — ``trace=True`` keeps spans in

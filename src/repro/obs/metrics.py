@@ -40,7 +40,9 @@ Replication instruments (published by ``repro.replication.node``):
 
 Migration instruments (published by ``repro.runtime.migration``):
 
-* ``migration.debt`` (gauge) — objects still awaiting lazy conversion,
+* ``migration.debt`` (gauge) — pending lazy conversions in object-steps
+  (one per instance per registered step, paid back on conversion; kept
+  by arithmetic, never by scanning the object base),
 * ``migration.registered`` (counter) — objects made stale by lazy cures,
 * ``migration.converted`` (counter) — objects converted on touch,
 * ``migration.batches`` / ``migration.background_converted`` (counters)

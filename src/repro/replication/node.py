@@ -434,6 +434,8 @@ class ReplicationNode:
             # *before* the session's effects become visible, so the
             # applied state is always recoverable from the local log.
             operations = self._ops.pop(session, [])
+            # Applying in delta mode is ROADMAP item 3: it cut apply
+            # time 4x but raised peak RSS 9.8 % (bound 5 %).
             saved = self.model.db.maintenance
             self.model.db.maintenance = "recompute"
             try:

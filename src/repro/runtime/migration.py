@@ -207,23 +207,40 @@ class MigrationEngine:
                                 to_version=len(chain) + 1, actions=actions)
         chain.append(step)
 
+        # Every live instance is stale by construction: all were stamped
+        # at version <= from_version < to_version (a touch only reaches
+        # the chain head, which this step just became), so the debt this
+        # step creates is the instance count — no O(n) version scan.
+        stale = len(self.runtime._instances_by_type.get(tid, ()))
+
         def undo(tid=tid, step=step):
             chain = self._steps.get(tid)
             if chain and chain[-1] is step:
                 chain.pop()
                 if not chain:
                     del self._steps[tid]
+                self._move_debt_gauge(-stale)
         session.record_undo(undo)
-        # Every live instance is stale by construction: all were stamped
-        # at version <= from_version < to_version (a touch only reaches
-        # the chain head, which this step just became), so the debt this
-        # step creates is the instance count — no O(n) version scan.
-        stale = len(self.runtime._instances_by_type.get(tid, ()))
         obs = self.obs
         if obs.enabled:
             obs.metrics.counter("migration.registered").inc(stale)
-            obs.metrics.gauge("migration.debt").set(self.debt())
+        self._move_debt_gauge(stale)
         return stale
+
+    def _move_debt_gauge(self, amount: int) -> None:
+        """Move the ``migration.debt`` gauge by arithmetic.
+
+        Telemetry must not do O(base) work, and :meth:`debt` scans every
+        object.  The gauge is the balance of pending conversions in
+        object-steps: a registered step owes one per instance, a
+        conversion pays one per step it replays, each with the inverse
+        in its undo; a background batch that finds nothing stale zeroes
+        it, which also writes off stale objects that were deleted.
+        """
+        obs = self.obs
+        if obs.enabled:
+            gauge = obs.metrics.gauge("migration.debt")
+            gauge.set(gauge.value + amount)
 
     def _cone_types(self, tid: Id) -> List[Id]:
         """*tid* and every subtype that has a representation or instances."""
@@ -308,7 +325,9 @@ class MigrationEngine:
 
             def undo(obj=obj, old=old):
                 obj.schema_version = old
+                self._move_debt_gauge(version - old)
             active.record_undo(undo)
+        self._move_debt_gauge(obj.schema_version - version)
         obj.schema_version = version
 
     # -- draining --------------------------------------------------------------
@@ -522,8 +541,8 @@ class BackgroundMigrator:
                     "migration.background_converted").inc(converted)
                 obs.metrics.histogram("migration.batch_ms").observe(
                     (time.perf_counter() - started) * 1000.0)
-        if obs.enabled:
-            obs.metrics.gauge("migration.debt").set(engine.debt())
+        elif obs.enabled:
+            obs.metrics.gauge("migration.debt").set(0)
         return converted
 
     def drain(self, max_batches: Optional[int] = None) -> int:

@@ -34,7 +34,6 @@ from repro.control.protocol import (
     RepairChooser,
     choose_first,
 )
-from repro.datalog.checker import mark_pool_worker
 from repro.manager import SchemaManager
 
 __all__ = ["ReadSession", "SchemaService"]
@@ -176,39 +175,19 @@ class SchemaService:
         if session is None:
             session = self.read_session()
         started = time.perf_counter()
-        # A read that triggers a consistency check must not fan that
-        # check back out onto the pool it is already occupying.
-        mark_pool_worker(True)
-        try:
-            with self.obs.span("service.read", epoch=session.epoch):
-                result = session.perform(request)
-        finally:
-            mark_pool_worker(False)
+        with self.obs.span("service.read", epoch=session.epoch):
+            result = session.perform(request)
         if self.obs.enabled:
             self.obs.metrics.counter("service.reads").inc()
             self.obs.metrics.histogram("service.read_ms").observe(
                 (time.perf_counter() - started) * 1000.0)
         return result
 
-    def check(self, parallel: bool = True):
-        """A full consistency check of the current snapshot.
-
-        By default the check fans its independent constraints out
-        across the service's reader pool (one task per constraint) —
-        snapshots are immutable, so any number of workers may evaluate
-        premises concurrently.  The report is identical to a serial
-        ``snapshot.check()`` for any worker count; per-worker engine
-        statistics are merged into the snapshot's ``stats``.
-        """
-        snapshot = self.snapshot()
-        if not parallel:
-            return snapshot.check()
-        if self._closed:
-            raise RuntimeError("the schema service is closed")
-        try:
-            return snapshot.checker.check(pool=self._pool)
-        except RuntimeError as exc:  # pool shut down under us
-            raise RuntimeError("the schema service is closed") from exc
+    def check(self):
+        """A full consistency check of the current snapshot, on the
+        calling thread (it never touches the reader pool, so it keeps
+        working after :meth:`close`)."""
+        return self.snapshot().check()
 
     # -- writing ---------------------------------------------------------------
 

@@ -138,39 +138,30 @@ class DurableStore:
         replayed = discarded = facts = 0
         committed = group_operations(scan.records)
         # Maintenance state (materialized views, provenance, session
-        # deltas) is never persisted: suspend eager propagation for the
-        # replay so derived predicates are rebuilt lazily, once, on the
-        # first read after recovery.
-        saved_maintenance = model.db.maintenance
-        model.db.maintenance = "recompute"
+        # deltas) is never persisted, so the model is cold here and the
+        # engine invalidates instead of propagating: derived predicates
+        # are rebuilt lazily, once, on the first read after recovery.
         span = obs.span("recovery.replay", records=len(scan.records),
                         committed_sessions=len(committed),
                         torn_bytes=scan.torn_bytes)
-        try:
-            with span:
-                for session, op_records, commit in committed:
-                    for record in op_records:
-                        additions = [decode_atom(item)
-                                     for item in record.payload.get("add",
-                                                                    ())]
-                        deletions = [decode_atom(item)
-                                     for item in record.payload.get("del",
-                                                                    ())]
-                        model.modify(additions=additions,
-                                     deletions=deletions)
-                        facts += len(additions) + len(deletions)
-                    for kind, next_number in commit.payload.get("next_ids",
-                                                                {}).items():
-                        model.ids.resume(kind, next_number)
-                    replayed += 1
-                    if obs.enabled and replayed % 100 == 0:
-                        obs.tracer.event("recovery.progress",
-                                         sessions=replayed,
-                                         facts=facts)
-                span.set("sessions_replayed", replayed)
-                span.set("facts_replayed", facts)
-        finally:
-            model.db.maintenance = saved_maintenance
+        with span:
+            for session, op_records, commit in committed:
+                for record in op_records:
+                    additions = [decode_atom(item)
+                                 for item in record.payload.get("add", ())]
+                    deletions = [decode_atom(item)
+                                 for item in record.payload.get("del", ())]
+                    model.modify(additions=additions, deletions=deletions)
+                    facts += len(additions) + len(deletions)
+                for kind, next_number in commit.payload.get("next_ids",
+                                                            {}).items():
+                    model.ids.resume(kind, next_number)
+                replayed += 1
+                if obs.enabled and replayed % 100 == 0:
+                    obs.tracer.event("recovery.progress",
+                                     sessions=replayed, facts=facts)
+            span.set("sessions_replayed", replayed)
+            span.set("facts_replayed", facts)
         begun = {record.session for record in scan.records
                  if record.kind == "bes"}
         discarded = len(begun) - replayed

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datalog.checker import ConsistencyChecker, snapshot_derived
+from repro.datalog.checker import ConsistencyChecker
 from repro.datalog.engine import DeductiveDatabase
 from repro.datalog.facts import PredicateDecl
 from repro.datalog.parser import parse_constraints, parse_rules
@@ -110,10 +110,12 @@ class TestRegistry:
 
 class TestDeltaCheck:
     def run_delta(self, checker, additions=(), deletions=()):
-        before = snapshot_derived(checker.database)
-        checker.database.apply_delta(additions, deletions)
+        db = checker.database
+        db.materialize()
+        db.reset_derived_delta()
+        db.apply_delta(additions, deletions)
         return checker.check_delta(additions, deletions,
-                                   derived_before=before)
+                                   derived_delta=db.derived_delta())
 
     def test_addition_creating_violation(self, checker):
         populate(checker.database)
@@ -174,8 +176,9 @@ class TestNegativePremise:
         db.add_fact(Atom("item", ("a",)))
         db.add_fact(Atom("covered", ("a",)))
         assert chk.check().consistent
-        before = snapshot_derived(db)
+        db.reset_derived_delta()
         deletions = [Atom("covered", ("a",))]
         db.apply_delta((), deletions)
-        report = chk.check_delta((), deletions, derived_before=before)
+        report = chk.check_delta((), deletions,
+                                 derived_delta=db.derived_delta())
         assert not report.consistent

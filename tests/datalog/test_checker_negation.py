@@ -7,7 +7,7 @@ elsewhere.  The polarity closure of the checker must catch these.
 
 import pytest
 
-from repro.datalog.checker import ConsistencyChecker, snapshot_derived
+from repro.datalog.checker import ConsistencyChecker
 from repro.datalog.engine import DeductiveDatabase
 from repro.datalog.facts import PredicateDecl
 from repro.datalog.parser import parse_constraints, parse_rules
@@ -36,9 +36,12 @@ constraint assigned_active: assigned(X, W) ==> active(X).
 
 
 def run_delta(checker, additions=(), deletions=()):
-    before = snapshot_derived(checker.database)
-    checker.database.apply_delta(additions, deletions)
-    return checker.check_delta(additions, deletions, derived_before=before)
+    db = checker.database
+    db.materialize()
+    db.reset_derived_delta()
+    db.apply_delta(additions, deletions)
+    return checker.check_delta(additions, deletions,
+                               derived_delta=db.derived_delta())
 
 
 class TestNegationPolarity:

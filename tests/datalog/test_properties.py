@@ -15,7 +15,7 @@ import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.datalog.checker import ConsistencyChecker, snapshot_derived
+from repro.datalog.checker import ConsistencyChecker
 from repro.datalog.engine import DeductiveDatabase
 from repro.datalog.facts import PredicateDecl
 from repro.datalog.parser import parse_constraints, parse_rules
@@ -93,10 +93,12 @@ def test_delta_check_equals_full_check(initial, additions, deletions):
     add_facts = [Atom("edge", pair) for pair in additions]
     del_facts = [Atom("edge", pair) for pair in deletions]
     del_facts += [Atom("label", (node, "L")) for node, _ in deletions[:2]]
-    before = snapshot_derived(db)
+    db.materialize()
+    db.reset_derived_delta()
     db.apply_delta(add_facts, del_facts)
     delta_report = checker.check_delta(add_facts, del_facts,
-                                       derived_before=before)
+                                       derived_delta=db.derived_delta())
+    assert db.stats.delta_fallbacks == 0
     full_report = checker.check()
     delta_keys = {(v.constraint.name, v.theta)
                   for v in delta_report.violations}

@@ -13,6 +13,8 @@ import pytest
 
 from repro.fuzz import History, run_oracle_stack
 
+from tests.datalog.test_executor_selection import count_interpreter_entries
+
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
@@ -37,3 +39,14 @@ def test_corpus_files_record_their_original_failure():
         assert history.failure, (
             f"{os.path.basename(path)} lacks a failure record; corpus "
             "files must say which oracle they originally tripped")
+
+
+def test_interpreter_runs_only_in_the_interpreted_variant(monkeypatch):
+    """The ``compiled_vs_interpreted`` oracle compares two different
+    executors: compiled databases never enter the step interpreter (no
+    warm-up tier, no fall-back), the interpreted variant always does."""
+    entries = count_interpreter_entries(monkeypatch)
+    report = run_oracle_stack(History.load(CORPUS[0]))
+    assert report.ok, report.describe()
+    assert entries["compiled"] == 0
+    assert entries["interpreted"] > 0

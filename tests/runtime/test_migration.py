@@ -299,6 +299,43 @@ class TestBackgroundMigrator:
         assert metrics.counter("migration.batches").value == 2
         assert metrics.gauge("migration.debt").value == 0
 
+    def test_debt_gauge_moves_without_scanning_objects(self, monkeypatch):
+        """Telemetry does no O(base) work: registering, touching and
+        rolling back move the gauge by arithmetic (in object-steps),
+        never by a scan; a drain brings it back to zero."""
+        from repro.obs import Observability
+        from repro.runtime.migration import MigrationEngine
+        manager = SchemaManager(obs=Observability.create(trace=True))
+        manager.define(SOURCE)
+        for i in range(6):
+            manager.runtime.create_object("T", {"x": i})
+        tid = manager.model.type_id("T")
+        gauge = manager.obs.metrics.gauge("migration.debt")
+
+        def scan(*_args, **_kwargs):
+            raise AssertionError("telemetry scanned the object base")
+        with monkeypatch.context() as patch:
+            patch.setattr(MigrationEngine, "stale_objects", scan)
+            patch.setattr(MigrationEngine, "_iter_stale", scan)
+            _lazy_add(manager, tid, "y", 0)
+            assert gauge.value == 6
+            obj = manager.runtime.objects_of(tid)[0]
+            session = manager.begin_session()
+            manager.runtime.get_attr(obj, "y")
+            assert gauge.value == 5
+            _add_attribute(manager, session, tid, "z")
+            manager.migrations.add_slot(tid, "z", 0, session=session)
+            assert gauge.value == 11  # 5 objects owe y, all 6 owe z
+            session.rollback()
+            assert gauge.value == 6
+            _lazy_add(manager, tid, "z", 0)
+            assert gauge.value == 12
+        # Two batches convert all six; capped before the empty batch
+        # that would zero the gauge outright.
+        manager.migrations.background(batch_size=4).drain(max_batches=2)
+        assert manager.migrations.debt() == 0
+        assert gauge.value == 0
+
     def test_durable_drain_recovers(self, tmp_path):
         directory = str(tmp_path / "store")
         with SchemaManager.open(directory) as manager:
