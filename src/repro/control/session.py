@@ -351,12 +351,11 @@ class EvolutionSession:
         self.model.active_session = None
         try:
             self._publish_stats("commit")
-            # Snapshot publication is part of EES: the new epoch becomes
-            # visible to readers before the writer lock is released, so
-            # the next writer cannot commit epoch N+1 while N is still
-            # being exported.
-            if self.model.snapshots_enabled:
-                self.model.publish_snapshot()
+            # The epoch and its snapshot are part of EES: the new epoch
+            # becomes visible to readers before the writer lock is
+            # released, so the next writer cannot commit epoch N+1 while
+            # N is still being exported.
+            self.model.advance_epoch()
         finally:
             self.model.writer_lock.release()
         return report

@@ -20,6 +20,7 @@ removal, because two schemas homed on one shard may share base types.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.analyzer.namespaces import public_closure
@@ -80,17 +81,14 @@ def atoms_from_wire(payload: Sequence[List[object]]) -> List[Atom]:
 # -- foreign installation ----------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ForeignInstallPlan:
     """The +/- delta installing (or refreshing) one foreign schema."""
 
-    __slots__ = ("sid", "additions", "deletions", "protected")
-
-    def __init__(self, sid: Id, additions: List[Atom],
-                 deletions: List[Atom], protected: int) -> None:
-        self.sid = sid
-        self.additions = additions
-        self.deletions = deletions
-        self.protected = protected
+    sid: Id
+    additions: List[Atom]
+    deletions: List[Atom]
+    protected: int
 
 
 def foreign_entries(model) -> List[Tuple[Id, int, int]]:

@@ -26,17 +26,12 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.farm.protocol import (
-    ProtocolError,
-    WorkerDied,
-    recv_message,
-    send_message,
-)
 from repro.farm.router import ShardRouter
 from repro.fuzz.history import Op, SessionPlan
 from repro.gom.persistence import save_json_atomic
 from repro.obs.metrics import rollup_snapshots
 from repro.storage.store import shard_directory
+from repro.wire import ProtocolError, WorkerDied, recv_message, send_message
 
 __all__ = ["FarmError", "SchemaFarm"]
 
@@ -324,13 +319,9 @@ class SchemaFarm:
                 shard_a, importer_handle, imported_handle, check_mode)
             return {"cross_shard": False, "shard": shard_a,
                     "epoch": reply["epoch"]}
-        export = self.request(shard_b, {"kind": "export_excerpt",
-                                        "schema": imported})
+        export, install, key = self._copy_foreign(shard_a, shard_b, imported,
+                                                  check_mode)
         home_epoch = export["epoch"]
-        install = self.request(shard_a, {
-            "kind": "install_foreign", "sid": export["sid"],
-            "excerpt": export["excerpt"], "home_shard": shard_b,
-            "home_epoch": home_epoch, "check_mode": check_mode})
         self.request(shard_a, {
             "kind": "bind", "handle": imported_handle,
             "target": {"kind": "id", "id": export["sid"]}})
@@ -342,11 +333,24 @@ class SchemaFarm:
             "home_epoch": home_epoch, "sid": export["sid"],
             "installed_facts": install["installed"],
         }
-        key = (shard_a, json.dumps(export["sid"], sort_keys=True))
         self._imports[key] = record
         return {"cross_shard": True, "shard": shard_a,
                 "epoch": reply["epoch"], "home_epoch": home_epoch,
                 "installed_facts": install["installed"]}
+
+    def _copy_foreign(self, shard_a: int, shard_b: int, imported: str,
+                      check_mode: str = "delta"):
+        """Export *imported* from its home shard *shard_b* at its current
+        epoch and install the copy on *shard_a*; returns the two replies
+        and the import's key."""
+        export = self.request(shard_b, {"kind": "export_excerpt",
+                                        "schema": imported})
+        install = self.request(shard_a, {
+            "kind": "install_foreign", "sid": export["sid"],
+            "excerpt": export["excerpt"], "home_shard": shard_b,
+            "home_epoch": export["epoch"], "check_mode": check_mode})
+        return export, install, (shard_a, json.dumps(export["sid"],
+                                                     sort_keys=True))
 
     def _add_import_session(self, shard: int, importer_handle: str,
                             imported_handle: str,
@@ -385,15 +389,9 @@ class SchemaFarm:
         records (with their new home epochs)."""
         refreshed = []
         for record in self.stale_imports():
-            shard_a = record["importer_shard"]
-            shard_b = record["home_shard"]
-            export = self.request(shard_b, {"kind": "export_excerpt",
-                                            "schema": record["imported"]})
-            self.request(shard_a, {
-                "kind": "install_foreign", "sid": export["sid"],
-                "excerpt": export["excerpt"], "home_shard": shard_b,
-                "home_epoch": export["epoch"]})
-            key = (shard_a, json.dumps(export["sid"], sort_keys=True))
+            export, _install, key = self._copy_foreign(
+                record["importer_shard"], record["home_shard"],
+                record["imported"])
             updated = dict(record)
             updated["home_epoch"] = export["epoch"]
             self._imports[key] = updated

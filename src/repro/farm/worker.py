@@ -4,7 +4,7 @@
 recovers) the shard's :class:`~repro.manager.SchemaManager` from the
 shard's own WAL directory, claims the shard's disjoint id stride,
 enables snapshot publication, and then serves framed JSON requests
-(:mod:`repro.farm.protocol`) until told to shut down.  Every reply
+(:mod:`repro.wire`) until told to shut down.  Every reply
 carries the shard index and the shard's current epoch, so the farm
 client maintains per-shard epoch tokens for free.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import traceback
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import InconsistentSchemaError, ReproError
 from repro.farm import FARM_FEATURES, ID_STRIDE
@@ -33,13 +33,12 @@ from repro.farm.excerpt import (
     install_foreign_schema,
     schema_excerpt,
 )
-from repro.farm.protocol import WorkerDied, recv_message, send_message
 from repro.analyzer.namespaces import (
+    model_schema_name,
     resolve_schema_path,
     resolve_visible_type,
     visible_components,
 )
-from repro.datalog.snapshot import export_excerpt
 from repro.fuzz.history import SessionPlan
 from repro.fuzz.replay import Replayer
 from repro.gom.ids import KINDS, Id
@@ -47,6 +46,7 @@ from repro.gom.persistence import decode_value, encode_value
 from repro.manager import SchemaManager
 from repro.obs import Observability
 from repro.service.stress import edb_digest
+from repro.wire import WorkerDied, recv_message, send_message
 
 __all__ = ["ShardWorker", "worker_main"]
 
@@ -77,19 +77,18 @@ class ShardWorker:
     def model(self):
         return self.manager.model
 
-    def _resolve_schema(self, ref: object) -> Optional[Id]:
-        """A schema reference: an encoded id, a name, or an absolute path."""
+    @staticmethod
+    def _resolve_schema(view, ref: object) -> Optional[Id]:
+        """A schema reference on the live model or a snapshot: an
+        encoded id, a name, or an absolute path."""
         if isinstance(ref, dict):
             sid = decode_value(ref)
             return sid if isinstance(sid, Id) else None
         if isinstance(ref, str) and ref.startswith("/"):
-            return resolve_schema_path(self.model, ref)
+            return resolve_schema_path(view, ref)
         if isinstance(ref, str):
-            return self.model.schema_id(ref)
+            return view.schema_id(ref)
         return None
-
-    def _type_names(self, ids: List[Id]) -> List[Optional[str]]:
-        return [self.model.type_name(tid) for tid in ids]
 
     # -- request handlers ------------------------------------------------------
 
@@ -144,9 +143,9 @@ class ShardWorker:
         resolved: Optional[Id] = None
         if kind == "schema":
             resolved = self._resolve_schema(
-                target.get("id") or target.get("name"))
+                self.model, target.get("id") or target.get("name"))
         elif kind == "type":
-            sid = self._resolve_schema(target.get("schema"))
+            sid = self._resolve_schema(self.model, target.get("schema"))
             if sid is not None:
                 resolved = self.model.type_id(target["name"], sid)
         elif kind == "id":
@@ -194,19 +193,19 @@ class ShardWorker:
         op = request.get("op")
         params = request.get("params", {})
         if op == "schema_id":
-            sid = self._resolve_schema(params["schema"])
+            sid = self._resolve_schema(self.model, params["schema"])
             result = encode_value(sid) if sid is not None else None
         elif op == "visible":
-            sid = self._resolve_schema_on(snapshot, params["schema"])
+            sid = self._resolve_schema(snapshot, params["schema"])
             entries = visible_components(snapshot, sid,
                                          params.get("component", "type"),
                                          params.get("name"))
             result = [[visible,
-                       self._schema_name_on(snapshot, origin),
+                       model_schema_name(snapshot, origin),
                        original]
                       for visible, origin, original in entries]
         elif op == "declarations":
-            sid = self._resolve_schema_on(snapshot, params["schema"])
+            sid = self._resolve_schema(snapshot, params["schema"])
             tid = self._type_on(snapshot, sid, params["type"])
             result = None
             if tid is not None:
@@ -218,7 +217,7 @@ class ShardWorker:
                     for did, opname, fact_result
                     in self._decl_rows(snapshot, tid))
         elif op == "attributes":
-            sid = self._resolve_schema_on(snapshot, params["schema"])
+            sid = self._resolve_schema(snapshot, params["schema"])
             tid = self._type_on(snapshot, sid, params["type"])
             result = None
             if tid is not None:
@@ -242,21 +241,6 @@ class ShardWorker:
             return tid
         return resolve_visible_type(snapshot, sid, name)
 
-    def _resolve_schema_on(self, snapshot, ref: object) -> Optional[Id]:
-        if isinstance(ref, dict):
-            sid = decode_value(ref)
-            return sid if isinstance(sid, Id) else None
-        if isinstance(ref, str) and ref.startswith("/"):
-            return resolve_schema_path(snapshot, ref)
-        if isinstance(ref, str):
-            return snapshot.schema_id(ref)
-        return None
-
-    @staticmethod
-    def _schema_name_on(snapshot, sid: Id) -> Optional[str]:
-        from repro.analyzer.namespaces import model_schema_name
-        return model_schema_name(snapshot, sid)
-
     @staticmethod
     def _decl_rows(snapshot, tid: Id):
         from repro.datalog.terms import Atom
@@ -265,7 +249,7 @@ class ShardWorker:
             yield fact.args[0], fact.args[2], fact.args[3]
 
     def _handle_export_excerpt(self, request) -> Dict[str, object]:
-        sid = self._resolve_schema(request["schema"])
+        sid = self._resolve_schema(self.model, request["schema"])
         if sid is None:
             return self._error(
                 f"no schema {request['schema']!r} on shard {self.shard}",
@@ -293,11 +277,6 @@ class ShardWorker:
                             for sid, shard, epoch
                             in foreign_entries(self.model)]}
 
-    def _handle_export_edb(self, request) -> Dict[str, object]:
-        excerpt = export_excerpt(self.model.db.edb)
-        return {"excerpt": excerpt_to_wire(excerpt),
-                "facts": excerpt.fact_count}
-
     def _handle_digest(self, request) -> Dict[str, object]:
         return {"digest": edb_digest(self.model.db)}
 
@@ -310,14 +289,8 @@ class ShardWorker:
         report = self.manager.recovery
         if report is None:
             return {"recovery": None}
-        return {"recovery": {
-            "snapshot_loaded": report.snapshot_loaded,
-            "records_scanned": report.records_scanned,
-            "torn_bytes_truncated": report.torn_bytes_truncated,
-            "sessions_replayed": report.sessions_replayed,
-            "sessions_discarded": report.sessions_discarded,
-            "facts_replayed": report.facts_replayed,
-        }}
+        return {"recovery": {key: value for key, value in vars(report).items()
+                             if key not in ("directory", "stats")}}
 
     def _handle_checkpoint(self, request) -> Dict[str, object]:
         self.manager.checkpoint()

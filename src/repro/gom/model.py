@@ -331,8 +331,10 @@ class GomDatabase(SchemaReadMixin):
         #: Serializes evolution sessions across threads (single-writer).
         #: Readers never touch it — they query published snapshots.
         self.writer_lock = WriterLock()
-        #: Monotonic publication counter; bumped by every
-        #: :meth:`publish_snapshot`.  0 = nothing published yet.
+        #: Committed evolution sessions — the one epoch snapshots,
+        #: replies and read tokens name.  Only :meth:`advance_epoch`
+        #: moves it; a durable model starts at the sessions recovery
+        #: replayed.
         self.epoch = 0
         #: Whether committed sessions publish snapshots (see
         #: :meth:`enable_snapshots`; the service front-end turns it on).
@@ -506,11 +508,12 @@ class GomDatabase(SchemaReadMixin):
         """Turn on snapshot publication (idempotent).
 
         Once enabled, every committed evolution session publishes a new
-        immutable :class:`SchemaSnapshot` and bumps :attr:`epoch`; an
-        initial snapshot of the current state is published immediately
-        (unless an evolution session is open, in which case the first
-        publication happens at its commit).  Off by default so models
-        that never serve concurrent readers pay nothing.
+        immutable :class:`SchemaSnapshot` at its epoch; an initial
+        snapshot of the current state, at the current epoch, is
+        published immediately (unless an evolution session is open, in
+        which case the first publication happens at its commit).  Off
+        by default so models that never serve concurrent readers pay
+        nothing.
         """
         self.snapshots_enabled = True
         active = getattr(self, "active_session", None)
@@ -518,14 +521,26 @@ class GomDatabase(SchemaReadMixin):
                 and not (active is not None and active.active):
             self.publish_snapshot()
 
-    def publish_snapshot(self) -> "SchemaSnapshot":
-        """Export and atomically publish a snapshot of the current state.
+    def advance_epoch(self) -> None:
+        """EES: count one more committed session, and publish it.
 
-        Called by the consistency control at EES (commit), while the
-        writer lock is still held — the extension cannot move under the
-        export.  Publication itself is one reference swap, so readers
-        calling :meth:`snapshot` concurrently always get either the
-        previous epoch or the new one, never anything partial.
+        The one place the epoch moves: the Consistency Control's commit
+        (with the writer lock still held), a replica applying a shipped
+        commit and recovery replaying one all call it.
+        """
+        self.epoch += 1
+        if self.snapshots_enabled:
+            self.publish_snapshot()
+
+    def publish_snapshot(self) -> "SchemaSnapshot":
+        """Export and atomically publish a snapshot of the current state,
+        stamped with the current :attr:`epoch`.
+
+        Called at EES (by :meth:`advance_epoch`) while no other writer
+        can run — the extension cannot move under the export.
+        Publication itself is one reference swap, so readers calling
+        :meth:`snapshot` concurrently always get either the previous
+        epoch or the new one, never anything partial.
         """
         active = getattr(self, "active_session", None)
         if active is not None and active.active:
@@ -533,7 +548,6 @@ class GomDatabase(SchemaReadMixin):
                 "cannot publish a snapshot while an evolution session is "
                 "open; snapshots publish at EES (commit)")
         with self._snapshot_mutex:
-            self.epoch += 1
             snapshot = SchemaSnapshot(
                 db=self.db.export_snapshot(),
                 epoch=self.epoch,

@@ -31,7 +31,8 @@ from primary-stamped chunk timestamps.
 
 Replication instruments (published by ``repro.replication.node``):
 
-* ``repl.applied_epoch`` (gauge) — committed sessions applied locally,
+* ``repl.epoch`` (gauge) — the node's epoch: committed sessions in its
+  log, set from the model's epoch,
 * ``repl.lag_seconds`` (gauge) — monotonic shipping lag of the newest
   applied chunk,
 * ``repl.chunks_applied`` / ``repl.bytes_applied`` (counters),

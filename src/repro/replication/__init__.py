@@ -3,11 +3,13 @@
 The shard farm (PR 6) scaled *writers* by partitioning schemas across
 processes; this package scales *reads* of one schema set by copying its
 evolution log.  A primary streams durable WAL frames to replica
-processes over sockets; each replica replays them into its own durable
+processes over sockets (both speak :mod:`repro.wire`, the log's own
+frame codec); each replica replays them into its own durable
 :class:`~repro.manager.SchemaManager`, publishes snapshots, and serves
-reads at its applied epoch.  Clients get read-your-writes via epoch
-tokens, and a dead primary is survived by promoting the replica with
-the longest durable log prefix.
+reads at its epoch — the committed sessions in its log, the same count
+on every node.  Clients get read-your-writes via epoch tokens, and a
+dead primary is survived by promoting the replica with the longest
+durable log prefix.
 
 Client surface::
 

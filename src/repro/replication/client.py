@@ -20,10 +20,7 @@ import socket
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.replication.protocol import (
-    recv_frame_sync,
-    send_frame_sync,
-)
+from repro.wire import recv_frame_sync, send_frame_sync
 
 __all__ = ["ReplicatedSchema", "ReplicationClient", "ReplicationError"]
 

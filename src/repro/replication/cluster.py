@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.farm.protocol import ProtocolError, WorkerDied, recv_message
 from repro.replication.client import ReplicationClient, ReplicationError
+from repro.wire import ProtocolError, WorkerDied, recv_message
 
 #: Node directories under the cluster root.
 NODE_DIR_FORMAT = "node-%02d"
@@ -168,11 +168,6 @@ class ReplicationCluster:
         """A fresh connection to *name* (default: the primary)."""
         handle = self.nodes[name] if name else self.primary
         return ReplicationClient(handle.address)
-
-    def add_replica(self,
-                    features: Optional[Sequence[str]] = None) -> NodeHandle:
-        """Attach one more replica to the current primary."""
-        return self._spawn("replica", self.primary.address, features)
 
     def statuses(self) -> Dict[str, Dict[str, object]]:
         """Live nodes' status frames (dead nodes are skipped)."""

@@ -17,12 +17,14 @@ always ends on a commit boundary: replicas receive whole sessions.
 through the replica's *own* :class:`~repro.storage.wal.WriteAheadLog`
 (framing is deterministic, so the replica's log is a byte-identical
 prefix of the primary's and byte offsets are comparable across nodes),
-commit records are fsync'd before their session is applied to the
-model, and each applied commit bumps the node's **applied epoch** — the
-count of committed sessions in its log — and publishes a fresh
-snapshot.  Reads (served by both roles) carry an optional ``min_epoch``
-token and block until the applied epoch reaches it: read-your-writes
-for clients that carry the epoch a write acknowledged.
+commit records are fsync'd before recovery's own replay step
+(:func:`~repro.storage.store.replay_session`) applies their session,
+advancing the model's **epoch** — the committed sessions in the log —
+and publishing a snapshot.  Every reply names the epoch of the snapshot
+it read, so an epoch and a digest always describe one state.  Reads
+carry an optional ``min_epoch`` token and block until the published
+epoch reaches it: read-your-writes for clients that carry the epoch a
+write acknowledged.
 
 **Failover** — ``promote`` turns a replica into a primary: it stops
 following, truncates its log to its durable offset (dropping the
@@ -49,18 +51,18 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
-from repro.gom.persistence import decode_atom
 from repro.manager import SchemaManager
 from repro.obs.metrics import AgeGauge, MetricsRegistry
-from repro.replication.protocol import (
+from repro.service.stress import snapshot_digest
+from repro.storage.store import SNAPSHOT_NAME, replay_session
+from repro.storage.wal import WalRecord, decode_record, group_operations
+from repro.wire import (
     ProtocolError,
     WorkerDied,
     recv_frame,
     send_frame,
+    send_message,
 )
-from repro.service.stress import snapshot_digest
-from repro.storage.store import SNAPSHOT_NAME
-from repro.storage.wal import decode_record
 
 #: Cap on one shipped chunk; a slow replica catches up in bounded bites.
 MAX_CHUNK_BYTES = 4 * 1024 * 1024
@@ -94,55 +96,45 @@ class ReplicationNode:
         self.wal = self.store.wal
         self.model = self.manager.model
         self.model.enable_snapshots()
-        #: Committed sessions in this node's log == applied to the model.
-        self.applied_epoch = self.store.recovery.sessions_replayed
         self._max_session = self.store._next_session - 1
         # Drop any uncommitted tail the last incarnation left: the
         # stream protocol re-ships those bytes, and the apply loop must
         # see every session from its bes record.
-        self.wal.truncate_to(self._last_commit_boundary())
+        self.wal.truncate_to(self.store.recovery.last_commit_offset)
         self.metrics = MetricsRegistry()
-        self.metrics.gauge("repl.applied_epoch").set(self.applied_epoch)
+        self.metrics.gauge("repl.epoch").set(self.model.epoch)
         self.staleness = AgeGauge("repl.staleness_seconds")
         self.lag_seconds = 0.0
         self.port: Optional[int] = None
         self._pending = b""
-        self._ops: Dict[int, List[Dict[str, object]]] = {}
+        self._uncommitted: List[WalRecord] = []
         self._pool = ThreadPoolExecutor(max_workers=max(1, read_threads),
                                         thread_name_prefix="repl-read")
-        self._epoch_cond: Optional[asyncio.Condition] = None
-        self._commit_cond: Optional[asyncio.Condition] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._write_lock: Optional[asyncio.Lock] = None
+        # Unbound until first awaited, so they join run()'s loop.
+        self._epoch_cond = asyncio.Condition()
+        self._commit_cond = asyncio.Condition()
+        self._stop = asyncio.Event()
+        self._write_lock = asyncio.Lock()
         self._follower: Optional[asyncio.Task] = None
 
-    def _last_commit_boundary(self) -> int:
-        """End offset of the last commit record (0 on an empty log)."""
-        from repro.storage.wal import read_log
-        boundary = 0
-        for record in read_log(self.wal.path).records:
-            if record.kind == "commit":
-                boundary = record.end_offset
-        return boundary
+    @property
+    def epoch(self) -> int:
+        """The published epoch: the one reads are served at."""
+        return self.model.snapshot().epoch
 
     # -- serving ---------------------------------------------------------------
 
     async def run(self, ready_conn=None) -> None:
         """Listen, follow (replicas), and serve until shut down."""
         loop = asyncio.get_running_loop()
-        self._epoch_cond = asyncio.Condition()
-        self._commit_cond = asyncio.Condition()
-        self._stop = asyncio.Event()
-        self._write_lock = asyncio.Lock()
         server = await asyncio.start_server(
             self._serve_connection, "127.0.0.1", 0)
         self.port = server.sockets[0].getsockname()[1]
         if self.role == "replica":
             self._follower = loop.create_task(self._follow())
         if ready_conn is not None:
-            from repro.farm.protocol import send_message
             send_message(ready_conn, {"kind": "ready", "port": self.port,
-                                      "epoch": self.applied_epoch})
+                                      "epoch": self.epoch})
             ready_conn.close()
         try:
             await self._stop.wait()
@@ -193,40 +185,39 @@ class ReplicationNode:
         async with self._write_lock:
             await loop.run_in_executor(self._pool, self.manager.define,
                                        source)
-            self.applied_epoch += 1
+            # The snapshot this commit published: no other writer runs
+            # while the lock is held.
+            snapshot = self.model.snapshot()
             self.metrics.counter("repl.writes").inc()
-            self.metrics.gauge("repl.applied_epoch").set(self.applied_epoch)
+            self.metrics.gauge("repl.epoch").set(snapshot.epoch)
         async with self._commit_cond:
             self._commit_cond.notify_all()
         async with self._epoch_cond:
             self._epoch_cond.notify_all()
-        reply = {"ok": True, "epoch": self.applied_epoch}
+        reply = {"ok": True, "epoch": snapshot.epoch}
         if message.get("digest"):
-            snapshot = self.model.snapshot()
             reply["digest"] = await loop.run_in_executor(
                 self._pool, snapshot_digest, snapshot)
         return reply
 
     async def _handle_read(self, message) -> Dict[str, object]:
         min_epoch = message.get("min_epoch")
-        if min_epoch is not None and self.applied_epoch < min_epoch:
+        if min_epoch is not None and self.epoch < min_epoch:
             try:
                 await asyncio.wait_for(
                     self._wait_for_epoch(min_epoch),
                     timeout=message.get("timeout", 10.0))
             except asyncio.TimeoutError:
-                return {"ok": False, "error": "stale",
-                        "epoch": self.applied_epoch,
+                return {"ok": False, "error": "stale", "epoch": self.epoch,
                         "min_epoch": min_epoch}
         snapshot = self.model.snapshot()
-        epoch = self.applied_epoch
         op = message.get("op", "digest")
         # Optional per-read service-time floor (capped), held while the
         # read occupies one of the node's bounded read slots.  Models a
         # storage-fetch wait so capacity benchmarks measure slots *
         # nodes rather than host cores; zero for normal traffic.
         io_ms = min(float(message.get("io_ms", 0) or 0), 250.0)
-        reply = {"ok": True, "epoch": epoch, "role": self.role}
+        reply = {"ok": True, "epoch": snapshot.epoch, "role": self.role}
         if op == "digest":
             loop = asyncio.get_running_loop()
             reply["digest"] = await loop.run_in_executor(
@@ -247,13 +238,13 @@ class ReplicationNode:
     async def _wait_for_epoch(self, min_epoch: int) -> None:
         async with self._epoch_cond:
             await self._epoch_cond.wait_for(
-                lambda: self.applied_epoch >= min_epoch)
+                lambda: self.epoch >= min_epoch)
 
     async def _handle_status(self, message) -> Dict[str, object]:
         return {
             "ok": True,
             "role": self.role,
-            "epoch": self.applied_epoch,
+            "epoch": self.epoch,
             "durable_offset": self.wal.durable_offset,
             "written_offset": self.wal.written_offset,
             "next_session": self.store._next_session,
@@ -265,32 +256,26 @@ class ReplicationNode:
     async def _handle_promote(self, message) -> Dict[str, object]:
         """Become the primary (the caller elected this node)."""
         if self.role == "primary":
-            return {"ok": True, "epoch": self.applied_epoch,
+            return {"ok": True, "epoch": self.epoch,
                     "durable_offset": self.wal.durable_offset,
                     "already_primary": True}
-        await self._stop_follower()
-        self._pending = b""
-        self._ops.clear()
-        self.wal.truncate_to(self.wal.durable_offset)
+        await self._unfollow()
         self.store._next_session = self._max_session + 1
         self.role = "primary"
         self.primary = None
         self.metrics.counter("repl.promotions").inc()
-        return {"ok": True, "epoch": self.applied_epoch,
+        return {"ok": True, "epoch": self.epoch,
                 "durable_offset": self.wal.durable_offset}
 
     async def _handle_rewire(self, message) -> Dict[str, object]:
         """Follow a different primary (after a promotion elsewhere)."""
         if self.role != "replica":
             return {"ok": False, "error": "only replicas rewire"}
-        await self._stop_follower()
-        self._pending = b""
-        self._ops.clear()
-        self.wal.truncate_to(self.wal.durable_offset)
+        await self._unfollow()
         self.primary = (message["host"], message["port"])
         loop = asyncio.get_running_loop()
         self._follower = loop.create_task(self._follow())
-        return {"ok": True, "epoch": self.applied_epoch,
+        return {"ok": True, "epoch": self.epoch,
                 "durable_offset": self.wal.durable_offset}
 
     async def _handle_shutdown(self, message) -> Dict[str, object]:
@@ -314,23 +299,20 @@ class ReplicationNode:
                                       f"the durable offset {durable}"})
             return
         await send_frame(writer, {"ok": True, "offset": offset,
-                                  "epoch": self.applied_epoch})
+                                  "epoch": self.epoch})
         self.metrics.counter("repl.subscribers").inc()
         while not self._stop.is_set() and self.role == "primary":
             durable = self.wal.durable_offset
-            if offset < durable:
-                data = self._read_log_slice(offset, durable)
-                await send_frame(writer, {
-                    "kind": "chunk", "offset": offset,
-                    "data": base64.b64encode(data).decode("ascii"),
-                    "mono_ts": time.monotonic(),
-                    "epoch": self.applied_epoch})
-                offset += len(data)
+            data = self._read_log_slice(offset, durable) \
+                if offset < durable else b""
+            # An empty chunk is a heartbeat.
+            await send_frame(writer, {
+                "kind": "chunk", "offset": offset,
+                "data": base64.b64encode(data).decode("ascii"),
+                "mono_ts": time.monotonic(), "epoch": self.epoch})
+            offset += len(data)
+            if data:
                 continue
-            await send_frame(writer, {"kind": "chunk", "offset": offset,
-                                      "data": "",
-                                      "mono_ts": time.monotonic(),
-                                      "epoch": self.applied_epoch})
             async with self._commit_cond:
                 try:
                     await asyncio.wait_for(self._commit_cond.wait(),
@@ -372,6 +354,13 @@ class ReplicationNode:
                 if writer is not None:
                     writer.close()
 
+    async def _unfollow(self) -> None:
+        """Stop following; cut the log back to its durable prefix."""
+        await self._stop_follower()
+        self._pending = b""
+        self._uncommitted = []
+        self.wal.truncate_to(self.wal.durable_offset)
+
     async def _stop_follower(self) -> None:
         task, self._follower = self._follower, None
         if task is not None:
@@ -407,7 +396,8 @@ class ReplicationNode:
                 self._epoch_cond.notify_all()
 
     def _drain_pending(self) -> int:
-        """Append and apply every complete frame in the buffer."""
+        """Append every complete frame in the buffer, applying each
+        session when its commit lands; returns the sessions applied."""
         applied = 0
         while True:
             record = decode_record(self._pending, 0)
@@ -416,53 +406,35 @@ class ReplicationNode:
             self.wal.append(record.payload,
                             sync=(record.kind == "commit"))
             self._pending = self._pending[record.end_offset:]
-            applied += self._apply_record(record)
+            self._max_session = max(self._max_session, record.session or 0)
+            self._uncommitted.append(record)
+            if record.kind == "commit":
+                self._apply_commit()
+                applied += 1
 
-    def _apply_record(self, record) -> int:
-        """Track one record; apply its session when it commits."""
-        session = record.session
-        if session is not None:
-            self._max_session = max(self._max_session, session)
-        if record.kind == "bes":
-            self._ops[session] = []
-        elif record.kind == "op":
-            self._ops.setdefault(session, []).append(record.payload)
-        elif record.kind == "rollback":
-            self._ops.pop(session, None)
-        elif record.kind == "commit":
-            # The commit frame is durable (the append above fsync'd it)
-            # *before* the session's effects become visible, so the
-            # applied state is always recoverable from the local log.
-            operations = self._ops.pop(session, [])
-            # Applying in delta mode is ROADMAP item 3: it cut apply
-            # time 4x but raised peak RSS 9.8 % (bound 5 %).
-            saved = self.model.db.maintenance
-            self.model.db.maintenance = "recompute"
-            try:
-                for payload in operations:
-                    self.model.modify(
-                        additions=[decode_atom(item)
-                                   for item in payload.get("add", ())],
-                        deletions=[decode_atom(item)
-                                   for item in payload.get("del", ())])
-            finally:
-                self.model.db.maintenance = saved
-            for kind, next_number in record.payload.get("next_ids",
-                                                        {}).items():
-                self.model.ids.resume(kind, next_number)
-            self.store._next_session = self._max_session + 1
-            self.applied_epoch += 1
-            self.model.publish_snapshot()
-            self.metrics.gauge("repl.applied_epoch").set(self.applied_epoch)
-            return 1
-        return 0
+    def _apply_commit(self) -> None:
+        """Apply the session whose commit frame just became durable (the
+        append fsync'd it), so the applied state is always recoverable
+        from the local log.  Sessions are sequential on the primary: the
+        records before a commit are its session and rolled-back ones."""
+        # Applying in delta mode is ROADMAP item 3: it cut apply time 4x
+        # but raised peak RSS 9.8 % (bound 5 %).
+        db = self.model.db
+        saved, db.maintenance = db.maintenance, "recompute"
+        try:
+            for _session, ops, commit in group_operations(self._uncommitted):
+                replay_session(self.model, ops, commit)
+        finally:
+            db.maintenance = saved
+        self._uncommitted = []
+        self.store._next_session = self._max_session + 1
+        self.metrics.gauge("repl.epoch").set(self.model.epoch)
 
 
 def node_main(ready_conn, directory: str, role: str,
               primary: Optional[Tuple[str, int]] = None,
               features: Optional[List[str]] = None) -> None:
     """Child-process entry point: build the node and serve forever."""
-    from repro.farm.protocol import send_message
     try:
         node = ReplicationNode(directory, role, primary=primary,
                                features=features)

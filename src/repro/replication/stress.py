@@ -11,7 +11,7 @@ boundaries:
 * **no torn reads** — every digest a replica serves equals the digest
   the primary recorded for that epoch (the WAL-shipping apply path
   reconstructs committed sessions exactly);
-* **monotonic applied epochs** — each reader's epoch sequence never
+* **monotonic epochs** — each reader's epoch sequence never
   goes backwards, even while a promotion rewires its replica;
 * **digest equality at every epoch** — including across one forced
   promotion: the primary is SIGKILLed mid-churn, the longest-prefix
@@ -35,8 +35,8 @@ from repro.replication.client import (
     ReplicationError,
 )
 from repro.replication.cluster import ReplicationCluster
-from repro.replication.protocol import ProtocolError, WorkerDied
 from repro.service.stress import StressOutcome
+from repro.wire import ProtocolError, WorkerDied
 
 __all__ = ["run_replicated_stress"]
 

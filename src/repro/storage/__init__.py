@@ -13,7 +13,6 @@ from repro.storage.wal import (
     LogScan,
     WalRecord,
     WriteAheadLog,
-    committed_sessions,
     group_operations,
     read_log,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "LogScan",
     "WalRecord",
     "WriteAheadLog",
-    "committed_sessions",
     "group_operations",
     "read_log",
 ]

@@ -20,7 +20,7 @@ restores exactly the committed-session state from each one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import ReproError
 
@@ -98,14 +98,6 @@ class FaultInjector:
             raise ValueError("occurrence is 1-based")
         self._armed[point] = occurrence
         return self
-
-    def disarm(self) -> None:
-        """Forget every armed crash (visit counters are kept)."""
-        self._armed.clear()
-
-    @property
-    def armed_points(self) -> List[str]:
-        return sorted(self._armed)
 
     # -- firing ----------------------------------------------------------------
 

@@ -10,7 +10,9 @@ snapshot (or starts a fresh model), scans the log, truncates any torn
 tail, replays every *committed* session in log order, and resumes the
 id counters from the last commit record — so recovery always lands on
 exactly the state the committed sessions produced, which the
-Consistency Control already proved consistent at each EES.
+Consistency Control already proved consistent at each EES.  Each
+replayed session advances the model's epoch, so a reopened model's
+epoch is the number of sessions committed since the last checkpoint.
 
 Replay is idempotent: op records set fact membership (+ present,
 - absent), so replaying a session whose effects are already in the
@@ -23,7 +25,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SessionError
 from repro.datalog.plan import EngineStats
@@ -35,7 +37,12 @@ from repro.gom.persistence import (
     save_to_file,
 )
 from repro.storage.faults import FaultInjector, NO_FAULTS
-from repro.storage.wal import WriteAheadLog, group_operations
+from repro.storage.wal import (
+    WalRecord,
+    WriteAheadLog,
+    group_operations,
+    read_log,
+)
 
 SNAPSHOT_NAME = "snapshot.json"
 LOG_NAME = "wal.log"
@@ -62,6 +69,9 @@ class RecoveryReport:
     sessions_discarded: int
     facts_replayed: int
     replay_seconds: float
+    #: Byte offset just past the last intact commit record (0 = none):
+    #: where a replicated log's committed prefix ends.
+    last_commit_offset: int = 0
     #: Engine counters of the replay itself (scans, invalidations, …).
     stats: Optional[EngineStats] = None
 
@@ -74,6 +84,29 @@ class RecoveryReport:
             f"{self.sessions_discarded} uncommitted discarded, "
             f"{self.torn_bytes_truncated} torn byte(s) truncated"
         )
+
+
+def replay_session(model, ops: Iterable[WalRecord],
+                   commit: WalRecord) -> int:
+    """Apply one committed session's ``op`` records; returns the facts.
+
+    The one replay step: recovery runs it per committed session in the
+    log, a replica per shipped commit.  It resumes the id counters from
+    the commit record and closes the session through
+    :meth:`~repro.gom.model.GomDatabase.advance_epoch`, so the epoch of
+    a recovered or replicated model is its committed-session count.
+    """
+    facts = 0
+    for record in ops:
+        payload = record.payload
+        additions = [decode_atom(item) for item in payload.get("add", ())]
+        deletions = [decode_atom(item) for item in payload.get("del", ())]
+        model.modify(additions=additions, deletions=deletions)
+        facts += len(additions) + len(deletions)
+    for kind, next_number in commit.payload.get("next_ids", {}).items():
+        model.ids.resume(kind, next_number)
+    model.advance_epoch()
+    return facts
 
 
 class DurableStore:
@@ -135,39 +168,29 @@ class DurableStore:
             pass
         stats = model.db.begin_stats()
         scan = store.wal.open_for_append()
-        replayed = discarded = facts = 0
+        facts = 0
         committed = group_operations(scan.records)
+        replayed = len(committed)
         # Maintenance state (materialized views, provenance, session
         # deltas) is never persisted, so the model is cold here and the
         # engine invalidates instead of propagating: derived predicates
         # are rebuilt lazily, once, on the first read after recovery.
         span = obs.span("recovery.replay", records=len(scan.records),
-                        committed_sessions=len(committed),
+                        commits=len(committed),
                         torn_bytes=scan.torn_bytes)
         with span:
-            for session, op_records, commit in committed:
-                for record in op_records:
-                    additions = [decode_atom(item)
-                                 for item in record.payload.get("add", ())]
-                    deletions = [decode_atom(item)
-                                 for item in record.payload.get("del", ())]
-                    model.modify(additions=additions, deletions=deletions)
-                    facts += len(additions) + len(deletions)
-                for kind, next_number in commit.payload.get("next_ids",
-                                                            {}).items():
-                    model.ids.resume(kind, next_number)
-                replayed += 1
-                if obs.enabled and replayed % 100 == 0:
+            for done, (_session, ops, commit) in enumerate(committed, 1):
+                facts += replay_session(model, ops, commit)
+                if obs.enabled and done % 100 == 0:
                     obs.tracer.event("recovery.progress",
-                                     sessions=replayed, facts=facts)
+                                     sessions=done, facts=facts)
             span.set("sessions_replayed", replayed)
             span.set("facts_replayed", facts)
         begun = {record.session for record in scan.records
                  if record.kind == "bes"}
-        discarded = len(begun) - replayed
-        sessions_seen = [record.session for record in scan.records
-                         if record.session is not None]
-        store._next_session = max(sessions_seen, default=0) + 1
+        store._next_session = max((record.session for record in scan.records
+                                   if record.session is not None),
+                                  default=0) + 1
         stats.replay_sessions = replayed
         stats.replay_records = len(scan.records)
         stats.replay_seconds = time.perf_counter() - started
@@ -183,9 +206,11 @@ class DurableStore:
             records_scanned=len(scan.records),
             torn_bytes_truncated=scan.torn_bytes,
             sessions_replayed=replayed,
-            sessions_discarded=discarded,
+            sessions_discarded=len(begun) - replayed,
             facts_replayed=facts,
             replay_seconds=stats.replay_seconds,
+            last_commit_offset=committed[-1][2].end_offset if committed
+            else 0,
             stats=stats,
         )
         return store
@@ -282,6 +307,5 @@ class DurableStore:
 
     def log_records(self) -> List[Tuple[str, Optional[int]]]:
         """(kind, session) of every intact record — the session history."""
-        from repro.storage.wal import read_log
         return [(record.kind, record.session)
                 for record in read_log(self.log_path).records]

@@ -16,49 +16,34 @@ fsyncing it makes everything the session logged before it durable too
 sessions in log order and ignores everything else, so a crash at any
 instant yields exactly the committed-session state.
 
-Record framing (little-endian):
+Records are :mod:`repro.wire` frames — the codec the farm's pipes and
+the replication sockets speak too; the log adds only the record-type
+check and the :class:`WalRecord` wrapper.  A torn tail — a half-written
+header, a short payload, or a frame the codec rejects (checksum
+mismatch, length over the cap) — marks the end of the valid prefix;
+:func:`read_log` reports it and :meth:`WriteAheadLog.open_for_append`
+truncates it away before appending anything new.  An oversize record
+is refused at append, before any byte reaches the file, so it can
+never pass for a torn tail and take later commits with it.
 
-    +--------+--------+----------------------+
-    | length | crc32  | payload (JSON bytes) |
-    | 4 bytes| 4 bytes| *length* bytes       |
-    +--------+--------+----------------------+
-
-A torn tail — a half-written header, a short payload, or a checksum
-mismatch — marks the end of the valid prefix; :func:`read_log` reports
-it and :meth:`WriteAheadLog.open_for_append` truncates it away before
-appending anything new.
-
-Replication reads the same file *by offset*: :func:`iter_frames` walks
-the intact frames from any byte offset, and a :class:`WalFollower`
-keeps a cursor and hands out whatever complete frames appeared since
-its last poll — the tail-follow read API a primary uses to stream
-committed frames to its replicas.  Framing is deterministic (compact
-JSON, sorted keys), so re-encoding a decoded payload reproduces the
-exact bytes; a replica appending received records through its own
-:class:`WriteAheadLog` therefore builds a byte-identical prefix of the
-primary's log, which is what makes durable byte offsets comparable
-across nodes during failover elections.
+Framing is deterministic, so re-encoding a decoded payload reproduces
+the exact bytes: a replica appending shipped records through its own
+:class:`WriteAheadLog` builds a byte-identical prefix of the primary's
+log, which is what makes durable byte offsets comparable across nodes
+during failover elections.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro import wire
 from repro.errors import GomModelError
 from repro.storage.faults import FaultInjector, NO_FAULTS
-
-_HEADER = struct.Struct("<II")
-
-#: Upper bound on one record's payload; anything larger in a header is
-#: treated as tail corruption, not as an instruction to allocate 4 GiB.
-MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 #: Record types understood by recovery.
 RECORD_TYPES = ("bes", "op", "commit", "rollback", "note")
@@ -97,41 +82,30 @@ class LogScan:
 
 
 def encode_frame(payload: Dict[str, object]) -> bytes:
-    """Frame one record: header (length, crc32) + compact JSON payload."""
+    """Frame one record (:func:`repro.wire.encode`); raises
+    :class:`~repro.wire.ProtocolError` for a payload over the cap."""
     if payload.get("type") not in RECORD_TYPES:
         raise WalFormatError(f"unknown record type {payload.get('type')!r}")
-    body = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    return _HEADER.pack(len(body), zlib.crc32(body)) + body
+    return wire.encode(payload)
 
 
 def decode_record(data: bytes, offset: int) -> Optional[WalRecord]:
-    """Decode the one frame starting at *offset* inside *data*.
+    """Decode the one record framed at *offset* inside *data*.
 
-    Returns None when the bytes there are torn, corrupt, or simply not
-    all present yet — the caller decides whether that means "end of the
-    valid prefix" (a scan) or "wait for more bytes" (a follower).
+    Returns None when the bytes there are torn, corrupt, of an unknown
+    record type, or simply not all present yet — the caller decides
+    whether that means "end of the valid prefix" (a scan) or "wait for
+    more bytes" (a replica's receive buffer).
     """
-    header = data[offset:offset + _HEADER.size]
-    if len(header) < _HEADER.size:
-        return None  # torn / incomplete header
-    length, checksum = _HEADER.unpack(header)
-    if length > MAX_RECORD_BYTES:
-        return None  # garbage length: treat as corruption
-    body = data[offset + _HEADER.size:offset + _HEADER.size + length]
-    if len(body) < length:
-        return None  # torn / incomplete payload
-    if zlib.crc32(body) != checksum:
-        return None  # bit rot / torn rewrite
     try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+        frame = wire.decode(data, offset)
+    except wire.ProtocolError:
         return None
-    if not isinstance(payload, dict) \
-            or payload.get("type") not in RECORD_TYPES:
+    if frame is None or frame[0].get("type") not in RECORD_TYPES:
         return None
+    payload, end = frame
     return WalRecord(kind=payload["type"], payload=payload, offset=offset,
-                     end_offset=offset + _HEADER.size + length)
+                     end_offset=end)
 
 
 def read_log(path: str) -> LogScan:
@@ -160,58 +134,12 @@ def read_log(path: str) -> LogScan:
     return scan
 
 
-def iter_frames(path: str, start: int = 0,
-                end: Optional[int] = None) -> Iterator[WalRecord]:
-    """Offset-addressed frame iteration: intact records from byte *start*.
-
-    *start* must sit on a frame boundary (0, or the ``end_offset`` of a
-    previously decoded record — the currency replicas keep).  Iteration
-    stops at the first torn or incomplete frame, or at byte *end* when
-    given (records straddling *end* are withheld — *end* is a durability
-    horizon, not a hint).
-    """
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(start)
-            data = handle.read()
-    except FileNotFoundError:
-        return
-    limit = len(data) if end is None else max(0, end - start)
-    offset = 0
-    while offset < limit:
-        record = decode_record(data, offset)
-        if record is None or record.end_offset > limit:
-            break
-        yield WalRecord(kind=record.kind, payload=record.payload,
-                        offset=start + record.offset,
-                        end_offset=start + record.end_offset)
-        offset = record.end_offset
-
-
-class WalFollower:
-    """A tail-following cursor over one log file.
-
-    Keeps the byte offset of the next undecoded frame and, on every
-    :meth:`poll`, returns the complete records that appeared since —
-    never a torn or half-written one, which under the single-writer
-    append discipline means a follower only ever observes frame-aligned
-    prefixes.  ``limit`` bounds each poll to a durability horizon (the
-    writer's :attr:`WriteAheadLog.durable_offset`), so a primary
-    streams *committed* bytes and never ships its own volatile tail.
-    """
-
-    __slots__ = ("path", "position")
-
-    def __init__(self, path: str, start: int = 0) -> None:
-        self.path = path
-        self.position = start
-
-    def poll(self, limit: Optional[int] = None) -> List[WalRecord]:
-        """All complete records between the cursor and *limit*."""
-        records = list(iter_frames(self.path, self.position, end=limit))
-        if records:
-            self.position = records[-1].end_offset
-        return records
+def _truncate(path: str, size: int) -> None:
+    """Cut the file at *path* to *size* bytes, durably."""
+    with open(path, "r+b") as handle:
+        handle.truncate(size)
+        handle.flush()
+        os.fsync(handle.fileno())
 
 
 class WriteAheadLog:
@@ -257,10 +185,7 @@ class WriteAheadLog:
         """
         scan = read_log(self.path)
         if scan.torn:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(scan.valid_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
+            _truncate(self.path, scan.valid_bytes)
         created = not os.path.exists(self.path)
         self._handle = open(self.path, "ab")
         if created:
@@ -304,10 +229,7 @@ class WriteAheadLog:
                     f"bytes are durable")
             if self._handle is not None:
                 self._handle.close()
-            with open(self.path, "r+b") as handle:
-                handle.truncate(offset)
-                handle.flush()
-                os.fsync(handle.fileno())
+            _truncate(self.path, offset)
             self._handle = open(self.path, "ab")
             self._written = self._synced = offset
 
@@ -322,13 +244,7 @@ class WriteAheadLog:
 
     def reset(self) -> None:
         """Empty the log (after a checkpoint made its contents redundant)."""
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-            self._handle = open(self.path, "wb")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._written = self._synced = 0
+        self.truncate_to(0)
 
     # -- appends ---------------------------------------------------------------
 
@@ -339,6 +255,7 @@ class WriteAheadLog:
         half the frame before dying, modelling a power cut mid-write.
         A synced append may *piggyback* on a concurrent thread's fsync
         (group commit) — ``on_write`` then reports zero fsyncs for it.
+        A record over the frame cap raises before anything is written.
         """
         if self._handle is None:
             raise WalFormatError("the evolution log is not open")
@@ -408,12 +325,6 @@ class WriteAheadLog:
         fsyncs, fsync_seconds = self._sync_to(target)
         if self.on_write is not None:
             self.on_write(0, 0, fsyncs, fsync_seconds)
-
-
-def committed_sessions(records: Iterable[WalRecord]) -> List[int]:
-    """The session ids with an intact ``commit`` record, in commit order."""
-    return [record.session for record in records
-            if record.kind == "commit" and record.session is not None]
 
 
 def group_operations(records: Iterable[WalRecord]

@@ -217,6 +217,25 @@ class TestLifecycle:
         finally:
             reopened.close()
 
+    def test_shard_epoch_counts_commits_across_reopen(self, tmp_path):
+        root = str(tmp_path / "farm")
+        farm = SchemaFarm.open(root, shards=1)
+        try:
+            farm.define(tenant_source("EpochA"))
+            with pytest.raises(FarmError):
+                farm.define("schema Broken is nonsense")
+            farm.define(tenant_source("EpochB"))
+            assert farm.epochs[0] == 2
+        finally:
+            farm.close()
+        reopened = SchemaFarm.open(root)
+        try:
+            assert reopened.epochs[0] == 2          # the ready reply
+            assert reopened.read("EpochA", "schema_id")[1] == 2
+            assert reopened.recovery_reports()[0]["sessions_replayed"] == 2
+        finally:
+            reopened.close()
+
     def test_requests_after_close_raise(self, tmp_path):
         farm = SchemaFarm.open(str(tmp_path / "farm"), shards=2)
         farm.close()

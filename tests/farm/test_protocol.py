@@ -1,41 +1,42 @@
-"""Framed-JSON worker protocol units: round-trips and corruption."""
+"""Framed-JSON pipe messages (:mod:`repro.wire`): round-trips and
+corruption of one whole frame."""
 
 import struct
 
 import pytest
 
-from repro.farm.protocol import (
+from repro.wire import (
     MAX_FRAME_BYTES,
     ProtocolError,
     decode_frame,
-    encode_frame,
+    encode,
 )
 
 
 class TestRoundTrip:
     def test_simple_message(self):
         message = {"kind": "ping", "n": 3, "nested": {"a": [1, 2]}}
-        assert decode_frame(encode_frame(message)) == message
+        assert decode_frame(encode(message)) == message
 
     def test_deterministic_encoding(self):
         # sort_keys + compact separators: one message, one byte string.
-        assert encode_frame({"b": 1, "a": 2}) == \
-            encode_frame({"a": 2, "b": 1})
+        assert encode({"b": 1, "a": 2}) == \
+            encode({"a": 2, "b": 1})
 
     def test_unicode_payloads(self):
         message = {"kind": "define", "source": "schema Bücher is … 端"}
-        assert decode_frame(encode_frame(message)) == message
+        assert decode_frame(encode(message)) == message
 
 
 class TestCorruption:
     def test_flipped_payload_byte_is_detected(self):
-        data = bytearray(encode_frame({"kind": "ping"}))
+        data = bytearray(encode({"kind": "ping"}))
         data[-1] ^= 0xFF
         with pytest.raises(ProtocolError, match="checksum"):
             decode_frame(bytes(data))
 
     def test_truncated_frame_is_detected(self):
-        data = encode_frame({"kind": "ping", "pad": "x" * 64})
+        data = encode({"kind": "ping", "pad": "x" * 64})
         with pytest.raises(ProtocolError):
             decode_frame(data[:-5])
 

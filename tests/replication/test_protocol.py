@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.replication.protocol import (
+from repro.wire import (
     ProtocolError,
     WorkerDied,
     recv_frame,

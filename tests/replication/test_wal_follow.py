@@ -1,24 +1,32 @@
-"""The WAL's offset-addressed read surface: what replication ships.
+"""The WAL properties replication leans on.
 
-These pin the properties the replication layer leans on: deterministic
-re-framing (replica logs are byte-identical prefixes), the durability
-horizon (a follower never observes the writer's volatile tail), and
-truncation semantics (promotion cuts exactly the un-fsync'd bytes).
+Deterministic re-framing (replica logs are byte-identical prefixes),
+the durability horizon (a replica never receives or appends a torn
+frame), truncation semantics (promotion cuts exactly the un-fsync'd
+bytes), and a record decoder that never mistakes a partial or corrupt
+frame for a record (a replica's receive buffer waits on it).
 """
 
 import os
 
 import pytest
 
+from repro.manager import SchemaManager
+from repro.replication.node import ReplicationNode
+from repro.storage.store import LOG_NAME
 from repro.storage.wal import (
     WalFormatError,
-    WalFollower,
     WriteAheadLog,
     decode_record,
     encode_frame,
-    iter_frames,
     read_log,
 )
+
+SOURCE = """
+schema Follow is
+type T is [ x: int; ] end type T;
+end schema Follow;
+"""
 
 
 def _record(session, kind="op", **extra):
@@ -41,52 +49,39 @@ def test_reencoding_a_decoded_payload_reproduces_the_bytes(tmp_path):
     with open(path, "rb") as handle:
         data = handle.read()
     rebuilt = b""
-    for record in iter_frames(path):
+    for record in read_log(path).records:
         rebuilt += encode_frame(record.payload)
     assert rebuilt == data
 
 
-def test_iter_frames_respects_start_and_end_horizon(tmp_path):
-    path = os.path.join(str(tmp_path), "wal.log")
-    wal = WriteAheadLog(path)
-    wal.open_for_append()
-    for session in (1, 2, 3):
-        wal.append(_record(session, "bes"))
-    wal.close()
-    records = list(iter_frames(path))
-    assert [r.payload["session"] for r in records] == [1, 2, 3]
-    # From the second frame's boundary onward.
-    tail = list(iter_frames(path, start=records[0].end_offset))
-    assert [r.payload["session"] for r in tail] == [2, 3]
-    assert tail[0].offset == records[1].offset
-    # An end horizon mid-frame withholds the straddling record.
-    horizon = records[1].end_offset + 3
-    clipped = list(iter_frames(path, end=horizon))
-    assert [r.payload["session"] for r in clipped] == [1, 2]
-
-
 def test_follower_never_sees_a_torn_tail(tmp_path):
-    path = os.path.join(str(tmp_path), "wal.log")
-    wal = WriteAheadLog(path)
-    wal.open_for_append()
-    wal.append(_record(1, "bes"))
-    follower = WalFollower(path)
-    assert [r.kind for r in follower.poll()] == ["bes"]
-    # A half-written frame at the tail: poll returns nothing new and
-    # the cursor does not advance.
-    frame = encode_frame(_record(1, "commit"))
-    with open(path, "ab") as handle:
-        handle.write(frame[: len(frame) // 2])
-    position = follower.position
-    assert follower.poll() == []
-    assert follower.position == position
-    # Completing the frame makes it visible.
-    with open(path, "ab") as handle:
-        handle.write(frame[len(frame) // 2:])
-    assert [r.kind for r in follower.poll()] == ["commit"]
+    # A replica buffers shipped bytes and appends whole frames only: a
+    # half-delivered commit neither reaches its log nor applies.
+    primary = str(tmp_path / "primary")
+    with SchemaManager.open(primary) as manager:
+        manager.define(SOURCE)
+    with open(os.path.join(primary, LOG_NAME), "rb") as handle:
+        shipped = handle.read()
+    node = ReplicationNode(str(tmp_path / "replica"), role="replica",
+                           primary=("127.0.0.1", 0))
+    try:
+        node._pending = shipped[:-3]
+        assert node._drain_pending() == 0
+        assert node.epoch == 0
+        kinds = [kind for kind, _ in node.store.log_records()]
+        assert kinds[0] == "bes" and "commit" not in kinds
+        node._pending += shipped[-3:]
+        assert node._drain_pending() == 1
+        assert node.epoch == 1
+        with open(node.wal.path, "rb") as handle:
+            assert handle.read() == shipped
+    finally:
+        node.manager.close()
 
 
 def test_follower_limit_is_a_durability_horizon(tmp_path):
+    # A primary ships its log up to the durable offset: that prefix is
+    # whole records, never the writer's volatile tail.
     path = os.path.join(str(tmp_path), "wal.log")
     wal = WriteAheadLog(path)
     wal.open_for_append()
@@ -95,11 +90,16 @@ def test_follower_limit_is_a_durability_horizon(tmp_path):
     durable = wal.durable_offset
     wal.append(_record(2, "bes"))  # flushed, not fsync'd
     assert wal.written_offset > durable
-    follower = WalFollower(path)
-    shipped = follower.poll(limit=wal.durable_offset)
-    assert [r.payload["session"] for r in shipped] == [1, 1]
-    assert follower.position == durable
     wal.close()
+    with open(path, "rb") as handle:
+        shipped = handle.read(durable)
+    shipped_path = os.path.join(str(tmp_path), "shipped.log")
+    with open(shipped_path, "wb") as handle:
+        handle.write(shipped)
+    scan = read_log(shipped_path)
+    assert not scan.torn
+    assert [r.payload["session"] for r in scan.records] == [1, 1]
+    assert scan.records[-1].end_offset == durable
 
 
 def test_truncate_to_cuts_the_unsynced_tail(tmp_path):

@@ -83,8 +83,10 @@ class TestWriterLock:
         for thread in threads:
             thread.join()
         assert errors == []
-        # 4 threads x 10 commits, each serialized and published.
-        assert manager.model.epoch == 1 + 40
+        # The epoch is the commit count: the define, then 4 threads x
+        # 10 commits, each serialized and published.
+        assert manager.model.epoch == 1 + 4 * 10
+        assert manager.model.snapshot().epoch == manager.model.epoch
         attrs = dict(manager.model.attributes(tid))
         assert len(attrs) == 1 + 40
 

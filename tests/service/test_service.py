@@ -15,6 +15,9 @@ type T is [ x: int; ] end type T;
 end schema S;
 """
 
+#: The epoch is the committed-session count; the fixture commits one.
+FIXTURE_COMMITS = 1
+
 
 @pytest.fixture
 def manager():
@@ -53,7 +56,7 @@ class TestReads:
     def test_submit_returns_a_future(self, manager):
         with manager.serve(readers=2) as service:
             future = service.submit(lambda rs: rs.epoch)
-            assert future.result() == 1
+            assert future.result() == FIXTURE_COMMITS
 
     def test_batch_pins_one_epoch(self, manager):
         with manager.serve(readers=4) as service:
@@ -75,7 +78,7 @@ class TestWrites:
             result = service.evolve(
                 lambda session: _add_attribute(manager, session, tid, "y"))
             assert result.succeeded
-            assert result.epoch == 2
+            assert result.epoch == FIXTURE_COMMITS + 1
             attrs = service.read(lambda rs: dict(rs.attributes(tid)))
             assert set(attrs) == {"x", "y"}
 
@@ -87,7 +90,7 @@ type U is [ y: int; ] end type U;
 end schema S2;
 """)
             assert service.read(lambda rs: rs.type_id("U")) is not None
-            assert service.epoch == 2
+            assert service.epoch == FIXTURE_COMMITS + 1
 
 
 class TestLifecycle:

@@ -14,6 +14,9 @@ type T is [ x: int; ] end type T;
 end schema S;
 """
 
+#: The epoch is the committed-session count; the fixture commits one.
+FIXTURE_COMMITS = 1
+
 
 @pytest.fixture
 def manager():
@@ -31,18 +34,24 @@ class TestPublication:
     def test_enable_publishes_the_initial_snapshot(self, manager):
         manager.model.enable_snapshots()
         snapshot = manager.model.snapshot()
-        assert snapshot.epoch == 1
-        assert manager.model.epoch == 1
+        assert snapshot.epoch == FIXTURE_COMMITS
+        assert manager.model.epoch == FIXTURE_COMMITS
 
     def test_enable_is_idempotent(self, manager):
         manager.model.enable_snapshots()
         manager.model.enable_snapshots()
-        assert manager.model.epoch == 1
+        assert manager.model.epoch == FIXTURE_COMMITS
 
     def test_lazy_snapshot_enables_publication(self, manager):
         snapshot = manager.snapshot()
-        assert snapshot.epoch == 1
+        assert snapshot.epoch == FIXTURE_COMMITS
         assert manager.model.snapshots_enabled
+
+    def test_commits_before_publication_still_count(self, manager):
+        manager.define(SOURCE.replace("S", "S2").replace("T", "U"))
+        assert not manager.model.snapshots_enabled
+        assert manager.model.epoch == FIXTURE_COMMITS + 1
+        assert manager.snapshot().epoch == FIXTURE_COMMITS + 1
 
     def test_commit_publishes_the_next_epoch(self, manager):
         manager.model.enable_snapshots()
@@ -51,7 +60,7 @@ class TestPublication:
         _add_attribute(manager, session, tid, "y")
         session.commit()
         snapshot = manager.model.snapshot()
-        assert snapshot.epoch == 2
+        assert snapshot.epoch == FIXTURE_COMMITS + 1
         assert dict(snapshot.attributes(tid)).keys() == {"x", "y"}
 
     def test_rollback_publishes_nothing(self, manager):
@@ -63,7 +72,7 @@ class TestPublication:
         session.rollback()
         after = manager.model.snapshot()
         assert after is before
-        assert after.epoch == 1
+        assert after.epoch == FIXTURE_COMMITS
 
     def test_publish_refused_mid_session(self, manager):
         manager.model.enable_snapshots()
@@ -89,7 +98,7 @@ class TestPublication:
         result = manager.evolve(
             lambda session: _add_attribute(manager, session, tid, "y"))
         assert result.succeeded
-        assert result.epoch == manager.model.epoch == 2
+        assert result.epoch == manager.model.epoch == FIXTURE_COMMITS + 1
 
 
 class TestIsolation:
@@ -104,7 +113,7 @@ class TestIsolation:
             session.commit()
         # The old image is byte-identical: COW never mutated it.
         assert snapshot_digest(pinned) == digest
-        assert pinned.epoch == 1
+        assert pinned.epoch == FIXTURE_COMMITS
         assert "extra_0" not in dict(pinned.attributes(tid))
         assert "extra_4" in dict(manager.model.snapshot().attributes(tid))
 

@@ -22,6 +22,12 @@ type U is [ y: string; ] end type U;
 end schema S2;
 """
 
+THIRD = """
+schema S3 is
+type V is [ z: int; ] end type V;
+end schema S3;
+"""
+
 
 def edb(manager):
     return manager.model.db.edb.snapshot()
@@ -35,7 +41,7 @@ class TestOpenAndRecover:
             assert report.sessions_replayed == 0
             assert manager.check().consistent
 
-    def test_committed_sessions_survive_reopen(self, tmp_path):
+    def test_commits_survive_reopen(self, tmp_path):
         directory = str(tmp_path / "db")
         with SchemaManager.open(directory) as manager:
             manager.define(SCHEMA)
@@ -107,6 +113,50 @@ class TestOpenAndRecover:
             names = {fact.args[1]
                      for fact in third.model.db.edb.facts("Schema")}
             assert {"S", "S2"} <= names
+
+
+class TestEpoch:
+    def test_epoch_counts_commits_across_reopen(self, tmp_path):
+        directory = str(tmp_path / "db")
+        with SchemaManager.open(directory) as manager:
+            manager.define(SCHEMA)
+            session = manager.begin_session()
+            session.add(Atom("Schema", (manager.model.ids.schema(), "No")))
+            session.rollback()
+            manager.define(MORE)
+            assert manager.model.epoch == 2
+        with SchemaManager.open(directory) as reopened:
+            assert reopened.recovery.sessions_replayed == 2
+            assert reopened.model.epoch == 2
+            assert reopened.snapshot().epoch == 2
+            reopened.checkpoint()
+            assert reopened.model.epoch == 2      # no session, no epoch
+            reopened.define(THIRD)
+            assert reopened.snapshot().epoch == 3
+        with SchemaManager.open(directory) as third:
+            # The count restarts from the sessions past the checkpoint.
+            assert third.recovery.sessions_replayed == 1
+            assert third.model.epoch == 1
+
+
+class TestOversizeRecord:
+    def test_oversize_op_rolls_back_and_later_commits_survive(
+            self, tmp_path, monkeypatch):
+        from repro import wire
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 4096)
+        directory = str(tmp_path / "db")
+        big = SCHEMA.replace("x: int;", f"x{'x' * 5000}: int;")
+        with SchemaManager.open(directory) as manager:
+            manager.define(SCHEMA)
+            with pytest.raises(wire.ProtocolError, match="exceeds"):
+                manager.define(big.replace("schema S", "schema Big"))
+            assert manager.model.active_session is None
+            manager.define(MORE)
+            state = edb(manager)
+        with SchemaManager.open(directory) as reopened:
+            assert reopened.recovery.torn_bytes_truncated == 0
+            assert reopened.recovery.sessions_replayed == 2
+            assert edb(reopened) == state
 
 
 class TestCheckpoint:

@@ -10,7 +10,6 @@ from repro.storage.wal import (
     LogScan,
     WalFormatError,
     WriteAheadLog,
-    committed_sessions,
     encode_frame,
     group_operations,
     read_log,
@@ -154,7 +153,7 @@ class TestInjectedCrashes:
 
 
 class TestGrouping:
-    def test_committed_sessions_in_commit_order(self):
+    def test_operations_group_in_commit_order(self):
         records = read_records_from(SESSION + [
             {"type": "bes", "session": 2, "mode": "delta"},
             {"type": "op", "session": 2, "add": []},
@@ -165,7 +164,6 @@ class TestGrouping:
             {"type": "bes", "session": 4, "mode": "delta"},
             {"type": "op", "session": 4, "add": []},   # in flight: no commit
         ])
-        assert committed_sessions(records) == [1, 3]
         groups = group_operations(records)
         assert [(sid, len(ops)) for sid, ops, _commit in groups] == \
             [(1, 1), (3, 1)]
