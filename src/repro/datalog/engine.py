@@ -132,11 +132,12 @@ class DeductiveDatabase:
         of the current extension (EDB + saturated IDB).
 
         Saturates any stale derived predicate first, then forks both
-        stores copy-on-write — O(predicates), no bucket copying.  The
-        caller must hold writer exclusivity (no concurrent mutation)
-        for the duration of this call; afterwards the snapshot is safe
-        to read from any number of threads while the live database
-        keeps evolving.
+        stores copy-on-write — O(predicates), no bucket copying; later
+        writes copy only the buckets they touch.  The caller must hold
+        writer exclusivity (no concurrent mutation) for the duration of
+        this call; afterwards the snapshot is safe to read from any
+        number of threads while the live database keeps evolving, and
+        it is freed by refcount when its last holder drops it.
         """
         from repro.datalog.snapshot import SnapshotDatabase
         self.materialize()

@@ -89,12 +89,14 @@ class Relation:
 
     Relations support copy-on-write sharing for snapshot isolation:
     :meth:`freeze_view` hands out a view sharing this relation's columns
-    and indexes by reference, marking both sides shared.  The first
-    mutation of the live relation after a freeze privatizes its storage
-    (:meth:`_ensure_private`), so published views stay immutable without
-    any bucket copying at snapshot time.  The symbol table is append-only
-    and shared by reference — codes recorded before a freeze decode
-    identically forever, on both sides.
+    and indexes by reference, marking both sides shared.  The live side's
+    first mutation after a freeze copies pointers, not buckets
+    (:meth:`_ensure_private`); a bucket is copied on its first write
+    after the freeze (``_owned[p]``: codes whose bucket this side owns;
+    ``None``: all of them).  So a session pays for its delta and views
+    stay immutable.  The symbol table is append-only and shared by
+    reference — codes recorded before a freeze decode identically
+    forever, on both sides.
     """
 
     def __init__(self, decl: PredicateDecl,
@@ -112,6 +114,7 @@ class Relation:
         self._free: List[int] = []
         self._next_rid = 0
         self._shared = False
+        self._owned: Optional[List[Set[int]]] = None
 
     def freeze_view(self) -> "Relation":
         """An immutable view sharing this relation's storage (O(1)).
@@ -130,20 +133,35 @@ class Relation:
         view._free = self._free
         view._next_rid = self._next_rid
         view._shared = True
+        view._owned = None
         self._shared = True
+        self._owned = None
         return view
 
     def _ensure_private(self) -> None:
-        """Detach from any frozen view before mutating (copy-on-write)."""
-        if self._shared:
-            self._columns = [array("q", column) for column in self._columns]
-            self._row_ids = dict(self._row_ids)
-            self._indexes = [
-                {code: set(bucket) for code, bucket in index.items()}
-                for index in self._indexes
-            ]
-            self._free = list(self._free)
-            self._shared = False
+        """Detach from the frozen views before the first mutation after a
+        freeze: copy pointers, not buckets (those are copied per write)."""
+        self._columns = [column[:] for column in self._columns]
+        self._row_ids = dict(self._row_ids)
+        self._indexes = [dict(index) for index in self._indexes]
+        self._free = list(self._free)
+        self._owned = [set() for _ in self._indexes]
+        self._shared = False
+        self.stats.cow_relations += 1
+
+    def _own_bucket(self, position: int, code: int) -> Set[int]:
+        """This side's private bucket for *code* at *position*, copying
+        the shared one on its first write after a freeze."""
+        index = self._indexes[position]
+        bucket = index.get(code)
+        if bucket is None:
+            bucket = set()
+        else:
+            bucket = set(bucket)
+            self.stats.cow_buckets_copied += 1
+        index[code] = bucket
+        self._owned[position].add(code)
+        return bucket
 
     def __len__(self) -> int:
         return len(self._row_ids)
@@ -182,7 +200,8 @@ class Relation:
         """Insert a pre-interned row (restore / replay fast path)."""
         if codes in self._row_ids:
             return False
-        self._ensure_private()
+        if self._shared:
+            self._ensure_private()
         if self._free:
             rid = self._free.pop()
             for position, code in enumerate(codes):
@@ -193,8 +212,12 @@ class Relation:
             for position, code in enumerate(codes):
                 self._columns[position].append(code)
         self._row_ids[codes] = rid
+        owned = self._owned
         for position, code in enumerate(codes):
-            self._indexes[position].setdefault(code, set()).add(rid)
+            if owned is None or code in owned[position]:
+                self._indexes[position].setdefault(code, set()).add(rid)
+            else:
+                self._own_bucket(position, code).add(rid)
         return True
 
     def remove(self, row: Tuple[object, ...]) -> bool:
@@ -209,14 +232,20 @@ class Relation:
         rid = self._row_ids.get(codes)
         if rid is None:
             return False
-        self._ensure_private()
+        if self._shared:
+            self._ensure_private()
         del self._row_ids[codes]
+        owned = self._owned
         for position, code in enumerate(codes):
             bucket = self._indexes[position].get(code)
-            if bucket is not None:
-                bucket.discard(rid)
-                if not bucket:
-                    del self._indexes[position][code]
+            if bucket is None:
+                continue
+            if len(bucket) == 1:
+                del self._indexes[position][code]  # emptied: never copied
+                continue
+            if owned is not None and code not in owned[position]:
+                bucket = self._own_bucket(position, code)
+            bucket.discard(rid)
         self._free.append(rid)
         return True
 
@@ -290,6 +319,8 @@ class Relation:
             yield tuple(values[column[rid]] for column in columns)
 
     def clear(self) -> None:
+        # Every bucket after a clear is created by this side: all owned.
+        self._owned = None
         if self._shared:
             # A frozen view still references the old storage; just start
             # fresh instead of copying columns only to empty them.
@@ -341,8 +372,9 @@ class FactStore:
         the live one — columns and index buckets are shared by
         reference, never copied, and the append-only symbol table is
         shared outright (codes recorded at fork time decode identically
-        forever).  The live store privatizes each relation lazily on its
-        first post-fork mutation, so the fork observes exactly the
+        forever).  The live store detaches each relation lazily on its
+        first post-fork mutation — pointer copies, then one bucket copy
+        per bucket first written — so the fork observes exactly the
         extension at fork time.  The fork carries its own ``stats`` so
         concurrent readers do not race the live session's
         instrumentation counters.

@@ -98,6 +98,10 @@ class EngineStats:
     #: back to the conservative slow path — a delta-maintained session
     #: keeps this at zero.
     delta_fallbacks: int = 0
+    #: Snapshot copy-on-write: relations detached from a published view
+    #: (pointer copies) and index buckets copied on their first write.
+    cow_relations: int = 0
+    cow_buckets_copied: int = 0
     # Durability counters (threaded in by repro.storage when the model
     # is backed by an evolution log).
     wal_records: int = 0
@@ -162,6 +166,8 @@ class EngineStats:
             "maint_rederived": self.maint_rederived,
             "maint_ms": self.maint_ms,
             "delta_fallbacks": self.delta_fallbacks,
+            "cow_relations": self.cow_relations,
+            "cow_buckets_copied": self.cow_buckets_copied,
             "wal_records": self.wal_records,
             "wal_bytes": self.wal_bytes,
             "wal_fsyncs": self.wal_fsyncs,
@@ -200,6 +206,10 @@ class EngineStats:
         if self.delta_fallbacks:
             lines.append(f"  delta fallbacks:    {self.delta_fallbacks} "
                          f"(conservative re-check without derived delta)")
+        if self.cow_relations:
+            lines.append(f"  snapshot CoW:       {self.cow_relations} "
+                         f"relation(s) detached, "
+                         f"{self.cow_buckets_copied} bucket(s) copied")
         if self.wal_records or self.wal_fsyncs:
             lines.append(f"  evolution log:      {self.wal_records} "
                          f"record(s), {self.wal_bytes} bytes, "

@@ -79,6 +79,10 @@ def render_stats(stats: EngineStats, slowest: int = 5) -> str:
         rows.append(["maintenance time", f"{stats.maint_ms:.2f} ms"])
     if stats.delta_fallbacks:
         rows.append(["delta fallbacks", stats.delta_fallbacks])
+    if stats.cow_relations:
+        rows.append(["snapshot CoW",
+                     f"{stats.cow_relations} relations detached, "
+                     f"{stats.cow_buckets_copied} buckets copied"])
     if stats.wal_records or stats.wal_fsyncs:
         rows.append(["wal records",
                      f"{stats.wal_records} ({stats.wal_bytes} bytes)"])

@@ -61,8 +61,18 @@ class DerivationTree:
         return "\n".join(lines)
 
 
+def _unlink(reverse: Dict, key, fact: Atom) -> None:
+    """Remove *fact* from ``reverse[key]``, and the key once it is empty."""
+    bucket = reverse.get(key)
+    if bucket is not None:
+        bucket.discard(fact)
+        if not bucket:
+            del reverse[key]
+
+
 class ProvenanceIndex:
-    """All derivations of the current materialization, with reverse maps."""
+    """All derivations of the current materialization, with reverse maps
+    (a reverse-map key lives exactly as long as its set is non-empty)."""
 
     def __init__(self) -> None:
         self._by_fact: Dict[Atom, List[Derivation]] = {}
@@ -111,42 +121,26 @@ class ProvenanceIndex:
         """Forget every derivation of *fact* (used by partial recompute)."""
         derivations = self._by_fact.pop(fact, [])
         if derivations:
-            bucket = self._by_pred.get(fact.pred)
-            if bucket is not None:
-                bucket.discard(fact)
+            _unlink(self._by_pred, fact.pred, fact)
         for derivation in derivations:
             self._keys.discard(derivation.key())
             for support in derivation.positive_supports:
-                bucket = self._by_support.get(support)
-                if bucket is not None:
-                    bucket.discard(fact)
+                _unlink(self._by_support, support, fact)
             for absent in derivation.negative_supports:
-                bucket = self._by_negative.get(absent)
-                if bucket is not None:
-                    bucket.discard(fact)
+                _unlink(self._by_negative, absent, fact)
 
     def clear_predicate(self, pred: str) -> int:
         """Forget every derivation of every fact of predicate *pred*.
 
         Bulk counterpart of :meth:`drop_fact` for clear-and-recompute:
-        one pass over the predicate's facts instead of a per-fact call
-        from the engine.  Returns the number of facts dropped.
+        one call from the engine instead of one per fact.  Returns the
+        number of facts dropped.
         """
         facts = self._by_pred.pop(pred, None)
         if not facts:
             return 0
         for fact in facts:
-            derivations = self._by_fact.pop(fact, ())
-            for derivation in derivations:
-                self._keys.discard(derivation.key())
-                for support in derivation.positive_supports:
-                    bucket = self._by_support.get(support)
-                    if bucket is not None:
-                        bucket.discard(fact)
-                for absent in derivation.negative_supports:
-                    bucket = self._by_negative.get(absent)
-                    if bucket is not None:
-                        bucket.discard(fact)
+            self.drop_fact(fact)
         return len(facts)
 
     def tree(self, fact: Atom, is_derived, max_depth: int = 16) -> DerivationTree:

@@ -3,8 +3,8 @@
 :meth:`~repro.datalog.engine.DeductiveDatabase.export_snapshot` hands out
 a :class:`SnapshotDatabase`: the EDB *and* the saturated IDB at export
 time, forked copy-on-write (:meth:`~repro.datalog.facts.FactStore.fork_shared`)
-so nothing is copied at publish time and the live engine's later
-mutations privatize storage instead of touching the snapshot.
+so nothing is copied at publish time, and the live engine's later
+writes copy only the relations and index buckets they touch.
 
 A snapshot is a plain query surface — the same read API as the live
 engine (``contains`` / ``facts`` / ``matching`` / ``relation`` /
@@ -17,11 +17,14 @@ concurrently.  Mutation entry points raise
 
 Each snapshot owns its :class:`~repro.datalog.plan.QueryPlanner` and
 :class:`~repro.datalog.plan.EngineStats`, so reader-side planning and
-instrumentation never race the live session's.
+instrumentation never race the live session's.  The planner holds a
+weak proxy, so no cycle runs through a snapshot: a retired epoch dies
+by refcount when its last holder lets go, not in a cyclic-GC pass.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -52,7 +55,7 @@ class SnapshotDatabase:
         #: seeds interning new constants is safe from any thread.
         self.executor = executor
         self.symbols = edb.symbols
-        self.planner = QueryPlanner(self)
+        self.planner = QueryPlanner(weakref.proxy(self))
 
     # -- declarations ---------------------------------------------------------
 

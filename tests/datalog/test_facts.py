@@ -8,8 +8,11 @@ from repro.errors import (
     NotGroundError,
     UnknownPredicateError,
 )
+from repro.datalog.engine import DeductiveDatabase
 from repro.datalog.facts import FactStore, PredicateDecl, Relation
+from repro.datalog.pretty import render_stats
 from repro.datalog.terms import Atom, Variable
+from repro.obs.metrics import MetricsRegistry
 
 X = Variable("X")
 
@@ -153,3 +156,51 @@ class TestFactStore:
         snapshot = store.snapshot()
         store.add(Atom("edge", (5, 6)))
         assert (5, 6) not in snapshot["edge"]
+
+
+class TestCopyOnWriteCounters:
+    """A session after a publish pays for the buckets it writes."""
+
+    @pytest.fixture
+    def database(self):
+        database = DeductiveDatabase([
+            PredicateDecl("edge", ("src", "dst")),
+            PredicateDecl("label", ("node", "text")),
+        ])
+        for index in range(50):
+            database.add_fact(Atom("edge", (index % 5, index)))
+            database.add_fact(Atom("label", (index, f"n{index}")))
+        return database
+
+    def test_one_fact_copies_at_most_arity_buckets(self, database):
+        pinned = database.export_snapshot()
+        stats = database.begin_stats()
+        database.add_fact(Atom("edge", (1, 99)))
+        assert stats.cow_relations == 1
+        assert 1 <= stats.cow_buckets_copied <= 2
+        copied = stats.cow_buckets_copied
+        # The src=1 bucket is owned now; dst=98 is a fresh bucket.
+        database.add_fact(Atom("edge", (1, 98)))
+        assert stats.cow_relations == 1
+        assert stats.cow_buckets_copied == copied
+        assert sorted(pinned.relation("edge").lookup((1, None))) == \
+            [(1, dst) for dst in range(1, 50, 5)]
+
+    def test_removal_that_empties_a_bucket_copies_nothing(self, database):
+        database.export_snapshot()
+        stats = database.begin_stats()
+        database.remove_fact(Atom("label", (7, "n7")))
+        assert stats.cow_relations == 1
+        assert stats.cow_buckets_copied == 0
+
+    def test_counters_reach_the_reports(self, database):
+        database.export_snapshot()
+        stats = database.begin_stats()
+        database.add_fact(Atom("edge", (2, 77)))
+        assert stats.as_dict()["cow_relations"] == 1
+        assert "snapshot CoW" in stats.describe()
+        assert "snapshot CoW" in render_stats(stats)
+        registry = MetricsRegistry()
+        registry.absorb_engine_stats(stats)
+        assert registry.counters["engine.cow_relations"].value == 1
+        assert "engine.cow_buckets_copied" in registry.counters

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.concurrency import WriterLock
+from repro.datalog.terms import Atom, Literal, Variable
 from repro.errors import SessionAlreadyActiveError
 from repro.gom.builtins import builtin_type
 from repro.manager import SchemaManager
@@ -25,12 +26,17 @@ end schema S;
 """
 
 
+X, Y, A, D = (Variable(name) for name in "XYAD")
+
+
 @pytest.fixture(autouse=True)
 def tight_switch_interval():
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    yield
-    sys.setswitchinterval(previous)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
 class TestStressLinearizability:
@@ -56,6 +62,86 @@ class TestStressLinearizability:
                              rollback_every=3)
         # initial snapshot + one publication per commit, nothing else
         assert len(outcome.published) == outcome.commits + 1
+
+
+class TestPinnedReadersUnderCopyOnWrite:
+    """More reader threads than cores hold pinned epochs and re-read
+    them while the writer's sessions copy the buckets they share."""
+
+    READERS = 8
+    SESSIONS = 30
+
+    @staticmethod
+    def _answers(snapshot, tid):
+        db = snapshot.db
+        own = frozenset(db.matching(Atom("Attr", (tid, None, None))))
+        inherited = frozenset(db.matching(Atom("Attr_i", (None, X, D))))
+        joined = frozenset(
+            (theta[X], theta[Y], theta[A])
+            for theta in db.query([Literal(Atom("SubTypRel_t", (X, Y))),
+                                   Literal(Atom("Attr", (Y, A, D)))]))
+        return own, inherited, joined
+
+    def test_pinned_answers_never_change(self):
+        manager = SchemaManager()
+        manager.define(SOURCE)
+        model = manager.model
+        model.enable_snapshots()
+        tid = model.type_id("T")
+        sid = model.schema_id("S")
+        done = threading.Event()
+        errors, mismatches = [], []
+        by_epoch, by_epoch_lock = {}, threading.Lock()
+        rounds = [0] * self.READERS
+
+        def reader(slot):
+            try:
+                while True:
+                    finished = done.is_set()
+                    pinned = model.snapshot()
+                    first = self._answers(pinned, tid)
+                    with by_epoch_lock:
+                        expected = by_epoch.setdefault(pinned.epoch, first)
+                    if first != expected:
+                        mismatches.append((slot, pinned.epoch, "epoch"))
+                    for _ in range(3):
+                        if self._answers(pinned, tid) != first:
+                            mismatches.append((slot, pinned.epoch, "pin"))
+                    rounds[slot] += 1
+                    if finished:
+                        return
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(repr(exc))
+
+        def writer():
+            try:
+                for index in range(self.SESSIONS):
+                    session = manager.begin_session()
+                    prims = manager.analyzer.primitives(session)
+                    prims.add_attribute(tid, f"a{index}",
+                                        builtin_type("int"))
+                    if index % 3 == 0:
+                        prims.add_type(sid, f"Sub{index}", supertypes=(tid,))
+                    session.commit()
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(repr(exc))
+            finally:
+                done.set()
+
+        threads = [threading.Thread(target=reader, args=(slot,), daemon=True)
+                   for slot in range(self.READERS)]
+        threads.append(threading.Thread(target=writer, daemon=True))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert mismatches == []
+        assert model.epoch == 1 + self.SESSIONS
+        assert all(rounds)
+        # The final epoch's answers are the live model's.
+        assert by_epoch[model.epoch] == self._answers(model, tid)
 
 
 class TestWriterLock:

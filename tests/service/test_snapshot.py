@@ -1,11 +1,15 @@
 """Snapshot isolation units: COW, epochs, read-only enforcement."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.datalog.terms import Atom
 from repro.errors import ReadOnlySnapshotError, SessionError
 from repro.gom.builtins import builtin_type
 from repro.manager import SchemaManager
+from repro.service.service import ReadSession
 from repro.service.stress import snapshot_digest
 
 SOURCE = """
@@ -142,6 +146,30 @@ class TestIsolation:
         snapshot = manager.model.snapshot()
         assert snapshot.check().consistent
         assert "doomed" not in dict(snapshot.attributes(tid))
+
+    def test_retired_epoch_dies_by_refcount(self, manager):
+        manager.model.enable_snapshots()
+        tid = manager.model.type_id("T")
+        gc.collect()
+        gc.disable()
+        try:
+            session = ReadSession(manager.model.snapshot())
+            assert session.type_id("T") == tid
+            assert session.check().consistent
+            snapshot_ref = weakref.ref(session.snapshot)
+            database_ref = weakref.ref(session.snapshot.db)
+            for index in range(2):
+                evolution = manager.begin_session()
+                _add_attribute(manager, evolution, tid, f"later_{index}")
+                evolution.commit()
+            assert snapshot_ref() is not None
+            assert database_ref() is not None
+            del session
+            # No gc.collect(): the retired epoch holds no reference cycle.
+            assert snapshot_ref() is None
+            assert database_ref() is None
+        finally:
+            gc.enable()
 
     def test_versions_view_works_on_snapshots(self):
         manager = SchemaManager(
