@@ -40,8 +40,14 @@ The two maintenance strategies:
   invalidates exactly the derived predicates that transitively depend
   on the changed base predicates; those — and only those — are cleared
   and re-saturated on next read.  A ``"delta"`` engine does the same
-  while the extension is cold (bulk loads, WAL replay), where lazy
+  while the extension is cold (bulk loads, crash recovery), where lazy
   recompute beats eager propagation.
+
+Every writer runs the ``"delta"`` path, replicas included: a replica
+applies each shipped session as one net base delta through
+:meth:`DeductiveDatabase.apply_delta`, so it runs one maintenance pass
+per committed session — the deductive half of the update, which the
+primary's checks already validated.
 """
 
 from __future__ import annotations
@@ -75,8 +81,8 @@ class DeductiveDatabase:
         if executor not in ("compiled", "interpreted"):
             raise ValueError(f"executor must be 'compiled' or 'interpreted', "
                              f"got {executor!r}")
-        #: Maintenance strategy for derived predicates; may be switched at
-        #: runtime (replica apply temporarily forces "recompute").
+        #: Maintenance strategy for derived predicates, fixed for the
+        #: engine's lifetime: "recompute" is the oracle reference only.
         self.maintenance = maintenance
         #: Join executor: "compiled" plan closures, or the "interpreted"
         #: reference the differential oracles compare against.

@@ -14,10 +14,12 @@ Consistency Control already proved consistent at each EES.  Each
 replayed session advances the model's epoch, so a reopened model's
 epoch is the number of sessions committed since the last checkpoint.
 
-Replay is idempotent: op records set fact membership (+ present,
-- absent), so replaying a session whose effects are already in the
-snapshot — possible when a crash hits between the checkpoint's rename
-and its log reset — converges to the same state.
+Replay folds each session's op records into one net delta and applies
+it with one ``modify``; ``facts_replayed`` counts those net facts.  It
+is idempotent: op records set fact membership (+ present, - absent),
+so replaying a session whose effects are already in the snapshot —
+possible when a crash hits between the checkpoint's rename and its log
+reset — converges to the same state.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SessionError
 from repro.datalog.plan import EngineStats
@@ -88,25 +90,32 @@ class RecoveryReport:
 
 def replay_session(model, ops: Iterable[WalRecord],
                    commit: WalRecord) -> int:
-    """Apply one committed session's ``op`` records; returns the facts.
+    """Apply one committed session as one net delta; returns its size.
 
     The one replay step: recovery runs it per committed session in the
-    log, a replica per shipped commit.  It resumes the id counters from
-    the commit record and closes the session through
+    log, a replica per shipped commit.  All records decode before the
+    model is touched and fold into one membership per fact (the last op
+    wins; within a record deletions precede additions, as in
+    ``apply_delta``), so a session costs one ``modify`` — one
+    maintenance pass on a warm model — and restarts the derived-delta
+    accounting as BES does.  It resumes the id counters from the commit
+    record and closes the session through
     :meth:`~repro.gom.model.GomDatabase.advance_epoch`, so the epoch of
     a recovered or replicated model is its committed-session count.
     """
-    facts = 0
+    present: Dict[Atom, bool] = {}
     for record in ops:
-        payload = record.payload
-        additions = [decode_atom(item) for item in payload.get("add", ())]
-        deletions = [decode_atom(item) for item in payload.get("del", ())]
-        model.modify(additions=additions, deletions=deletions)
-        facts += len(additions) + len(deletions)
+        for item in record.payload.get("del", ()):
+            present[decode_atom(item)] = False
+        for item in record.payload.get("add", ()):
+            present[decode_atom(item)] = True
+    model.db.reset_derived_delta()
+    model.modify(additions=[fact for fact, on in present.items() if on],
+                 deletions=[fact for fact, on in present.items() if not on])
     for kind, next_number in commit.payload.get("next_ids", {}).items():
         model.ids.resume(kind, next_number)
     model.advance_epoch()
-    return facts
+    return len(present)
 
 
 class DurableStore:

@@ -219,9 +219,10 @@ class TestRecomputeFallbacks:
         assert db.stats.maint_insert_rounds == 0
         assert "tc" not in db._fresh
 
-    def test_mode_switch_suspends_maintenance(self):
-        db = tc_db([("a", "b")])
-        db.maintenance = "recompute"
+    def test_recompute_mode_invalidates_instead_of_maintaining(self):
+        # The mode is fixed at construction: a recompute engine never
+        # maintains, even over a materialized extension.
+        db = tc_db([("a", "b")], maintenance="recompute")
         db.add_fact(Atom("edge", ("b", "c")))
         assert "tc" not in db._fresh  # invalidated, not maintained
         assert closure(db) == {("a", "b"), ("b", "c"), ("a", "c")}
