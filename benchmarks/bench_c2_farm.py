@@ -51,7 +51,7 @@ IMPORTS = 4
 def tenant_source(name):
     # Four types of three attributes each: enough facts per tenant that
     # the full EES cost is dominated by database size, not by the fixed
-    # per-session overhead (pipe round-trip, WAL append, snapshot
+    # per-session overhead (socket round-trip, WAL append, snapshot
     # publication) that sharding cannot reduce.
     types = "\n".join(
         f"  type T{t}{name} is [ a : float; b : int; c : string; ] "

@@ -1,8 +1,8 @@
 """C3: read-capacity scaling across WAL-shipping read replicas.
 
 Each replication node serves reads through a small bounded pool of
-read slots (``read_threads``), so a node's sustainable read rate for
-service-time-bound reads is ``slots / service_time``.  Replicas are
+read slots (``repro.node.READ_THREADS``), so a node's sustainable read
+rate for service-time-bound reads is ``slots / service_time``.  Replicas are
 how that capacity scales: the committed evolution log is shipped to N
 replica processes, each with its own slots over its own applied
 snapshot.

@@ -1,33 +1,21 @@
 """The shard-per-schema farm: multiprocess writer scale-out.
 
-One process, one ``WriterLock``, one GIL — that is the ceiling the
-service layer hits no matter how many reader threads it adds.  The farm
-breaks it along the partition key the paper itself supplies: Appendix A
-makes the *schema* the unit of name-space isolation, so schemas (and
-their whole subschema trees, which must stay together for relative
-paths to resolve) shard cleanly.  A :class:`~repro.farm.farm.SchemaFarm`
-runs one worker process per shard — each with its own
-:class:`~repro.gom.model.GomDatabase`, WAL directory, and snapshot
-machinery — behind a :class:`~repro.farm.router.ShardRouter` hashing
-root-schema names to shards.
+One process, one ``WriterLock``, one GIL is the service layer's
+ceiling.  The farm breaks it along the partition key the paper
+supplies: Appendix A makes the *schema* (with its whole subschema tree)
+the unit of name-space isolation.  A :class:`~repro.farm.farm.SchemaFarm`
+runs one node process (:mod:`repro.node`) per shard behind a
+:class:`~repro.farm.router.ShardRouter` hashing root-schema names.
 
-Cross-shard ``import`` is resolved by **snapshot exchange**, never by a
-shared database: when a schema on shard A imports one homed on shard B,
-the farm fetches B's :func:`~repro.analyzer.namespaces.public_closure`
-excerpt at B's current epoch and installs it into A's database as
-*foreign facts* through an ordinary WAL-logged evolution session, so
-the copy is crash-durable, EES-checked, and invisible to rollback
-anomalies.  A ``ForeignSchema(schemaid, homeshard, homeepoch)`` fact
-records the provenance; staleness is the comparison of that recorded
-epoch against the home shard's current one, and every commit on the
-home shard invalidates (see :meth:`SchemaFarm.stale_imports` /
-:meth:`SchemaFarm.refresh_imports`).
-
-Ids cannot collide across shards: every worker resumes its
-:class:`~repro.gom.ids.IdFactory` at ``shard_index * ID_STRIDE + 1``
-(``resume`` is monotonic-max, so WAL recovery composes with it), giving
-each shard a disjoint id stride and making installed foreign facts
-collision-free by construction.
+Cross-shard ``import`` is resolved by **snapshot exchange**: the home
+shard's :func:`~repro.analyzer.namespaces.public_closure` excerpt is
+installed on the importing shard as *foreign facts* through an
+ordinary WAL-logged, EES-checked session, with a
+``ForeignSchema(schemaid, homeshard, homeepoch)`` provenance fact;
+every later commit on the home shard makes the copy stale
+(:meth:`SchemaFarm.stale_imports` / :meth:`SchemaFarm.refresh_imports`).
+Each shard resumes its ids at ``shard_index * ID_STRIDE + 1``, so ids
+(and installed foreign facts) never collide across shards.
 """
 
 from __future__ import annotations
@@ -41,11 +29,11 @@ from repro.gom.model import FeatureModule, register_feature
 # registers that feature first.
 import repro.analyzer.namespaces  # noqa: F401  (feature registration)
 
-#: Disjoint id-number stride per shard (worker *k* allocates numbers in
+#: Disjoint id-number stride per shard (shard *k* allocates numbers in
 #: ``(k * ID_STRIDE, (k + 1) * ID_STRIDE]``).
 ID_STRIDE = 1_000_000_000
 
-#: The feature stack every shard worker runs with: the full protocol
+#: The feature stack every shard runs with: the full protocol
 #: surface of the fuzzer plus the farm's own provenance predicate.
 FARM_FEATURES: Tuple[str, ...] = (
     "core", "objectbase", "versioning", "fashion", "namespaces", "farm")

@@ -1,19 +1,16 @@
-"""The farm client: a pool of shard workers behind one API.
+"""The farm client: a router over shard nodes behind one API.
 
 :class:`SchemaFarm` mirrors the single-process
 :class:`~repro.service.SchemaService` surface — ``read()`` /
-``submit()`` / ``batch()`` plus the write path — but fans out across
-worker *processes*, one durable schema manager per shard.  Every reply
-carries the shard's epoch, so the client holds a per-shard epoch token
-vector; reads report the epoch they were served at, and cross-shard
-import staleness is the comparison of a recorded ``(home shard, home
-epoch)`` pair against the token vector.
-
-Request/response over each worker pipe is serialized by a per-shard
-lock; a thread pool overlaps requests *across* shards, which is the
-whole point — with one writer process per shard, committed-writer
-throughput scales with the shard count (``benchmarks/bench_c2_farm.py``
-measures exactly that).
+``submit()`` / ``batch()`` plus the write path — over one node process
+(:class:`~repro.farm.worker.ShardWorker`) per shard, holding one
+:class:`~repro.node.NodeClient` each.  Every reply carries the shard's
+epoch, so the client keeps a per-shard token vector; cross-shard
+import staleness compares a recorded ``(home shard, home epoch)``
+against it.  Requests to one shard serialize on its client's lock; a
+thread pool overlaps requests *across* shards, which is the point —
+committed-writer throughput scales with the shard count
+(``benchmarks/bench_c2_farm.py`` measures it).
 """
 
 from __future__ import annotations
@@ -21,17 +18,16 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ReproError
 from repro.farm.router import ShardRouter
 from repro.fuzz.history import Op, SessionPlan
 from repro.gom.persistence import save_json_atomic
 from repro.obs.metrics import rollup_snapshots
+from repro.node import NodeClient, NodeError, NodeHandle, reap, spawn
 from repro.storage.store import shard_directory
-from repro.wire import ProtocolError, WorkerDied, recv_message, send_message
+from repro.wire import ProtocolError, WorkerDied
 
 __all__ = ["FarmError", "SchemaFarm"]
 
@@ -40,50 +36,50 @@ CONFIG_NAME = "farm.json"
 _SCHEMA_RE = re.compile(r"\bschema\s+([A-Za-z_][A-Za-z0-9_]*)\s+is\b")
 
 
-class FarmError(ReproError):
-    """A farm-level failure: routing, worker error reply, lost worker."""
+class FarmError(NodeError):
+    """A farm-level failure: routing, shard error reply, lost shard."""
 
 
-class _Shard:
-    """The client's handle on one worker process."""
-
-    __slots__ = ("index", "process", "conn", "lock")
-
-    def __init__(self, index: int, process, conn) -> None:
-        self.index = index
-        self.process = process
-        self.conn = conn
-        self.lock = threading.Lock()
+class _ShardClient(NodeClient):
+    error = FarmError  # a shard's error reply raises the farm's error
 
 
 class SchemaFarm:
-    """A multi-tenant schema farm: one worker process per shard."""
+    """A multi-tenant schema farm: one node process per shard."""
 
-    def __init__(self, directory: str, shards: int, features,
-                 metrics: bool = True,
-                 ready_timeout: float = 120.0) -> None:
+    def __init__(self, directory: str, shards: int, features) -> None:
+        from repro.farm.worker import ShardWorker
         self.directory = directory
         self.router = ShardRouter(shards)
         self.features = tuple(features)
-        self.metrics_enabled = metrics
-        self.ready_timeout = ready_timeout
-        #: Per-shard epoch tokens, updated from every reply.
-        self.epochs: Dict[int, int] = {}
         #: Installed cross-shard imports the client arranged:
         #: (importer shard, sid wire-form as canonical JSON) -> record.
         self._imports: Dict[Tuple[int, str], Dict[str, object]] = {}
-        self._shards: List[_Shard] = []
+        # A failed start reaps every node it spawned.
+        self.nodes: List[NodeHandle] = spawn([
+            (f"shard-{index}", ShardWorker,
+             (self.shard_directory(index), index, self.features))
+            for index in range(shards)])
+        #: Per-shard epoch tokens, updated from every reply.
+        self.epochs = {index: node.epoch
+                       for index, node in enumerate(self.nodes)}
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, shards), thread_name_prefix="farm-client")
         self._closed = False
-        self._start_workers()
+        self._clients: List[NodeClient] = []
+        try:
+            for index, node in enumerate(self.nodes):
+                self._clients.append(
+                    _ShardClient(node.address, name=f"shard {index}"))
+        except BaseException:
+            self.kill()
+            raise
 
     # -- lifecycle -------------------------------------------------------------
 
     @classmethod
     def open(cls, directory: str, shards: Optional[int] = None,
-             features: Optional[Sequence[str]] = None,
-             metrics: bool = True) -> "SchemaFarm":
+             features: Optional[Sequence[str]] = None) -> "SchemaFarm":
         """Open (or create) a farm rooted at *directory*.
 
         The shard count and feature stack are persisted in
@@ -113,82 +109,36 @@ class SchemaFarm:
             # with a different layout, stranding every shard WAL.
             save_json_atomic({"shards": shards, "features": list(features)},
                              config_path)
-        return cls(directory, shards, features, metrics=metrics)
+        return cls(directory, shards, features)
 
     def shard_directory(self, shard: int) -> str:
         return shard_directory(self.directory, shard)
 
-    def _start_workers(self) -> None:
-        import multiprocessing
-        from repro.farm.worker import worker_main
-        context = multiprocessing.get_context()
-        try:
-            for index in range(self.router.shards):
-                parent_conn, child_conn = context.Pipe()
-                process = context.Process(
-                    target=worker_main,
-                    args=(child_conn, index, self.shard_directory(index),
-                          self.features, self.metrics_enabled),
-                    name=f"farm-shard-{index}", daemon=True)
-                process.start()
-                child_conn.close()
-                self._shards.append(_Shard(index, process, parent_conn))
-            for shard in self._shards:
-                ready = recv_message(shard.conn, timeout=self.ready_timeout)
-                if ready.get("kind") != "ready":
-                    raise FarmError(
-                        f"shard {shard.index} failed to start: {ready!r}")
-                self.epochs[shard.index] = ready.get("epoch", 0)
-        except BaseException:
-            # A failed start must not leak the shards already spawned:
-            # kill them, reap the zombies, and release every pipe fd and
-            # process sentinel before surfacing the error.
-            self._closed = True
-            for shard in self._shards:
-                shard.process.kill()
-            self._reap(pool_wait=False)
-            raise
-
-    def _reap(self, pool_wait: bool) -> None:
-        """Join every worker and release all fds (pipes + sentinels).
-
-        ``Process.join`` reaps the child (no zombie), but the pipe fd
-        and the process *sentinel* fd stay open until ``conn.close()``
-        / ``Process.close()`` — a farm that skipped those leaked four
-        fds per open/kill cycle.
-        """
-        for shard in self._shards:
-            shard.process.join(timeout=30.0)
-            if shard.process.is_alive():  # pragma: no cover - stuck worker
-                shard.process.kill()
-                shard.process.join(timeout=10.0)
-            shard.conn.close()
-            if not shard.process.is_alive():
-                shard.process.close()
-        self._pool.shutdown(wait=pool_wait)
+    def _release(self, kill: bool) -> None:
+        """Reap every shard node and release every fd (sockets, pipes,
+        process sentinels)."""
+        self._closed = True
+        for client in self._clients:
+            client.close()
+        for node in self.nodes:
+            reap(node, kill=kill)
+        self._pool.shutdown(wait=not kill)
 
     def close(self) -> None:
-        """Shut every worker down cleanly (WALs stay committed)."""
+        """Shut every shard down cleanly (WALs stay committed)."""
         if self._closed:
             return
-        self._closed = True
-        for shard in self._shards:
+        for index in range(len(self._clients)):
             try:
-                with shard.lock:
-                    send_message(shard.conn, {"kind": "shutdown"})
-                    recv_message(shard.conn, timeout=30.0)
-            except (WorkerDied, ProtocolError, OSError):
+                self.request(index, {"kind": "shutdown"}, timeout=30.0)
+            except (NodeError, WorkerDied, ProtocolError, OSError):
                 pass
-        self._reap(pool_wait=True)
+        self._release(kill=False)
 
     def kill(self) -> None:
-        """SIGKILL every worker mid-flight (crash-recovery tests)."""
-        if self._closed:
-            return
-        self._closed = True
-        for shard in self._shards:
-            shard.process.kill()
-        self._reap(pool_wait=False)
+        """SIGKILL every shard mid-flight (crash-recovery tests)."""
+        if not self._closed:
+            self._release(kill=True)
 
     def __enter__(self) -> "SchemaFarm":
         return self
@@ -207,21 +157,16 @@ class SchemaFarm:
 
     def request(self, shard: int, message: Dict[str, object],
                 timeout: Optional[float] = None) -> Dict[str, object]:
-        """One request/reply round-trip with a shard worker."""
+        """One request/reply round trip with a shard node."""
         if self._closed:
             raise FarmError("the farm is closed")
-        entry = self._shards[shard]
-        with entry.lock:
-            send_message(entry.conn, message)
-            reply = recv_message(entry.conn, timeout=timeout)
-        epoch = reply.get("epoch")
-        if isinstance(epoch, int):
-            previous = self.epochs.get(shard, 0)
-            self.epochs[shard] = max(previous, epoch)
-        if not reply.get("ok", False):
-            raise FarmError(
-                f"shard {shard} {message.get('kind')} failed: "
-                f"{reply.get('error_type')}: {reply.get('error')}")
+        client = self._clients[shard]
+        with client.lock:
+            reply = client.request(message, timeout=timeout)
+            # Inside the lock: replies on one shard arrive in epoch
+            # order, so the token only ever moves forward.
+            self.epochs[shard] = max(self.epochs.get(shard, 0),
+                                     reply["epoch"])
         return reply
 
     # -- the SchemaService-shaped surface --------------------------------------
@@ -241,7 +186,7 @@ class SchemaFarm:
                     "source and no home= given")
             home = match.group(1)
         shard = self.shard_of(home)
-        reply = self.request(shard, {"kind": "define", "source": source,
+        reply = self.request(shard, {"kind": "write", "source": source,
                                      "check_mode": check_mode})
         return {"shard": shard, "epoch": reply["epoch"],
                 "schemas": reply["schemas"]}
@@ -261,7 +206,7 @@ class SchemaFarm:
 
     def bind(self, schema: str, handle: str,
              target: Dict[str, object]) -> Dict[str, object]:
-        """Bind a replay handle on *schema*'s shard (see worker docs)."""
+        """Bind a replay handle on *schema*'s shard (see ShardWorker)."""
         shard = self.shard_of(schema)
         return self.request(shard, {"kind": "bind", "handle": handle,
                                     "target": target})
@@ -273,7 +218,7 @@ class SchemaFarm:
         params.setdefault("schema", schema)
         reply = self.request(shard, {"kind": "read", "op": op,
                                      "params": params})
-        return reply["result"], reply["read_epoch"]
+        return reply[op], reply["epoch"]
 
     def batch(self, requests: Sequence[Tuple[str, str, Dict[str, object]]]
               ) -> List[Tuple[object, int]]:
@@ -281,7 +226,7 @@ class SchemaFarm:
 
         Each request is ``(schema, op, params)``; results come back in
         request order as ``(result, epoch)`` pairs.  Requests hitting
-        one shard are serialized by its pipe lock and therefore observe
+        one shard are serialized by its client lock and therefore observe
         non-decreasing epochs; there is deliberately no cross-shard
         epoch pinning (shards commit independently — that is the
         trade the farm makes for writer scale-out).
@@ -311,32 +256,30 @@ class SchemaFarm:
         imported_handle = f"farm:imported:{imported}"
         self.bind(importer, importer_handle,
                   {"kind": "schema", "name": importer})
-        if shard_a == shard_b:
-            self.request(shard_a, {
-                "kind": "bind", "handle": imported_handle,
-                "target": {"kind": "schema", "name": imported}})
-            reply = self._add_import_session(
-                shard_a, importer_handle, imported_handle, check_mode)
-            return {"cross_shard": False, "shard": shard_a,
-                    "epoch": reply["epoch"]}
-        export, install, key = self._copy_foreign(shard_a, shard_b, imported,
-                                                  check_mode)
-        home_epoch = export["epoch"]
-        self.request(shard_a, {
-            "kind": "bind", "handle": imported_handle,
-            "target": {"kind": "id", "id": export["sid"]}})
-        reply = self._add_import_session(
-            shard_a, importer_handle, imported_handle, check_mode)
-        record = {
-            "importer": importer, "imported": imported,
-            "importer_shard": shard_a, "home_shard": shard_b,
-            "home_epoch": home_epoch, "sid": export["sid"],
-            "installed_facts": install["installed"],
-        }
-        self._imports[key] = record
-        return {"cross_shard": True, "shard": shard_a,
-                "epoch": reply["epoch"], "home_epoch": home_epoch,
+        target = {"kind": "schema", "name": imported}
+        if shard_a != shard_b:
+            export, install, key = self._copy_foreign(
+                shard_a, shard_b, imported, check_mode)
+            target = {"kind": "id", "id": export["sid"]}
+        self.request(shard_a, {"kind": "bind", "handle": imported_handle,
+                               "target": target})
+        reply = self.session(importer, SessionPlan(ops=[Op("add_import", {
+            "schema": importer_handle, "imported": imported_handle})]),
+            check_mode)
+        if not reply["committed"]:
+            raise FarmError(f"add_import session on shard {shard_a} did "
+                            f"not commit: {reply.get('violations')}")
+        result = {"cross_shard": shard_a != shard_b, "shard": shard_a,
+                  "epoch": reply["epoch"]}
+        if shard_a != shard_b:
+            self._imports[key] = {
+                "importer": importer, "imported": imported,
+                "importer_shard": shard_a, "home_shard": shard_b,
+                "home_epoch": export["epoch"], "sid": export["sid"],
                 "installed_facts": install["installed"]}
+            result.update(home_epoch=export["epoch"],
+                          installed_facts=install["installed"])
+        return result
 
     def _copy_foreign(self, shard_a: int, shard_b: int, imported: str,
                       check_mode: str = "delta"):
@@ -352,20 +295,6 @@ class SchemaFarm:
         return export, install, (shard_a, json.dumps(export["sid"],
                                                      sort_keys=True))
 
-    def _add_import_session(self, shard: int, importer_handle: str,
-                            imported_handle: str,
-                            check_mode: str) -> Dict[str, object]:
-        plan = SessionPlan(ops=[Op("add_import", {
-            "schema": importer_handle, "imported": imported_handle})])
-        reply = self.request(shard, {"kind": "session",
-                                     "plan": plan.to_dict(),
-                                     "check_mode": check_mode})
-        if not reply.get("committed"):
-            raise FarmError(
-                f"add_import session on shard {shard} did not commit: "
-                f"{reply.get('violations')}")
-        return reply
-
     # -- staleness / invalidation ----------------------------------------------
 
     def stale_imports(self) -> List[Dict[str, object]]:
@@ -379,7 +308,7 @@ class SchemaFarm:
         """
         homes = {record["home_shard"] for record in self._imports.values()}
         for shard in homes:
-            self.request(shard, {"kind": "epoch"})
+            self.request(shard, {"kind": "ping"})
         return [dict(record) for record in self._imports.values()
                 if self.epochs[record["home_shard"]]
                 > record["home_epoch"]]
@@ -398,49 +327,40 @@ class SchemaFarm:
             refreshed.append(updated)
         return refreshed
 
-    def foreign_entries(self, shard: int) -> List[List[object]]:
-        """The ``(sid, home shard, home epoch)`` triples a shard holds."""
-        return self.request(shard, {"kind": "foreign"})["entries"]
-
     # -- farm-wide operations --------------------------------------------------
+
+    def _each(self, kind: str) -> Dict[int, Dict[str, object]]:
+        """One *kind* request per shard, overlapped across shards."""
+        futures = {shard: self._pool.submit(self.request, shard,
+                                            {"kind": kind})
+                   for shard in range(self.shards)}
+        return {shard: future.result() for shard, future in futures.items()}
 
     def digests(self) -> Dict[int, str]:
         """Per-shard order-independent EDB content digests."""
-        return {shard.index:
-                self.request(shard.index, {"kind": "digest"})["digest"]
-                for shard in self._shards}
+        return {shard: reply["digest"]
+                for shard, reply in self._each("digest").items()}
 
     def check_all(self) -> Dict[int, List[str]]:
         """Run a full consistency check on every shard's snapshot;
         returns shard -> violated constraint names (all empty = green)."""
-        futures = {shard.index:
-                   self._pool.submit(self.request, shard.index,
-                                     {"kind": "check"})
-                   for shard in self._shards}
-        return {index: future.result()["violations"]
-                for index, future in futures.items()}
+        return {shard: reply["violations"]
+                for shard, reply in self._each("check").items()}
 
     def checkpoint_all(self) -> None:
         """Fold every shard's WAL into a fresh snapshot."""
-        for shard in self._shards:
-            self.request(shard.index, {"kind": "checkpoint"})
+        self._each("checkpoint")
 
     def recovery_reports(self) -> Dict[int, Optional[Dict[str, object]]]:
-        """What each worker's recovery found when it opened."""
-        return {shard.index:
-                self.request(shard.index,
-                             {"kind": "recovery"})["recovery"]
-                for shard in self._shards}
+        """What each shard's recovery found when it opened."""
+        return {shard: reply["recovery"]
+                for shard, reply in self._each("status").items()}
 
     def metrics_rollup(self) -> Dict[str, object]:
         """Per-shard metrics snapshots merged into one farm-level view."""
-        snapshots = []
-        for shard in self._shards:
-            reply = self.request(shard.index, {"kind": "metrics"})
-            if reply["metrics"]:
-                snapshots.append(reply["metrics"])
-        rollup = rollup_snapshots(snapshots)
-        rollup["shards"] = len(snapshots)
+        rollup = rollup_snapshots([reply["metrics"] for reply
+                                   in self._each("status").values()])
+        rollup["shards"] = self.shards
         return rollup
 
     def __repr__(self) -> str:

@@ -148,8 +148,7 @@ class SchemaManager:
 
     @classmethod
     def open_farm(cls, directory: str, shards: Optional[int] = None,
-                  features: Optional[Sequence[str]] = None,
-                  metrics: bool = True):
+                  features: Optional[Sequence[str]] = None):
         """Open (or create) a multi-process shard farm at *directory*.
 
         Scale-out past the single writer lock: one durable manager
@@ -164,8 +163,7 @@ class SchemaManager:
                 farm.define("schema Tenant0 is ... end schema Tenant0;")
         """
         from repro.farm import SchemaFarm
-        return SchemaFarm.open(directory, shards=shards, features=features,
-                               metrics=metrics)
+        return SchemaFarm.open(directory, shards=shards, features=features)
 
     @property
     def recovery(self):

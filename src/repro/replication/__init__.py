@@ -1,15 +1,13 @@
 """WAL-shipping replication: a primary, N read replicas, failover.
 
-The shard farm (PR 6) scaled *writers* by partitioning schemas across
+The shard farm scales *writers* by partitioning schemas across
 processes; this package scales *reads* of one schema set by copying its
-evolution log.  A primary streams durable WAL frames to replica
-processes over sockets (both speak :mod:`repro.wire`, the log's own
-frame codec); each replica replays them into its own durable
-:class:`~repro.manager.SchemaManager`, publishes snapshots, and serves
-reads at its epoch — the committed sessions in its log, the same count
-on every node.  Clients get read-your-writes via epoch tokens, and a
-dead primary is survived by promoting the replica with the longest
-durable log prefix.
+evolution log.  Every member is a :class:`~repro.node.Node` process: a
+primary streams durable WAL frames to its replicas, each replica
+applies them and serves reads at its epoch (the committed sessions in
+its log, the same count on every node).  Clients get read-your-writes
+via epoch tokens, and a dead primary is survived by promoting the
+replica with the longest durable log prefix.
 
 Client surface::
 
@@ -30,11 +28,10 @@ from repro.replication.client import (
     ReplicationClient,
     ReplicationError,
 )
-from repro.replication.cluster import NodeHandle, ReplicationCluster
+from repro.replication.cluster import ReplicationCluster
 from repro.replication.node import ReplicationNode
 
 __all__ = [
-    "NodeHandle",
     "ReplicatedSchema",
     "ReplicationClient",
     "ReplicationCluster",

@@ -1,55 +1,32 @@
 """Clients of a replication group, including read-your-writes.
 
-:class:`ReplicationClient` is one blocking socket connection to one
-node — the low-level request surface (``write`` / ``read`` /
-``status`` / ``promote`` / ``rewire`` / ``shutdown``).
-
-:class:`ReplicatedSchema` is the consistency-aware façade: writes go
-to the primary and the acknowledged epoch becomes the client's
-**token**; reads fan out across the replicas round-robin and carry the
-token as ``min_epoch``, so a replica blocks (briefly) rather than
-serve a state older than the client's own last write — read-your-
-writes over asynchronously shipped logs.  After a failover the token
-is clamped to the new primary's epoch: commits the dead primary never
-shipped are gone, and waiting for them would block forever.
+:class:`ReplicationClient` is a :class:`~repro.node.NodeClient` with
+``write`` and a token-carrying ``read``.  :class:`ReplicatedSchema` is
+the consistency-aware façade: writes go to the primary and the
+acknowledged epoch becomes the client's **token**; reads fan out
+across the replicas round-robin and carry the token as ``min_epoch``,
+so a replica blocks (briefly) rather than serve a state older than the
+client's own last write.  After a failover the token is clamped to the
+new primary's epoch: commits the dead primary never shipped are gone.
 """
 
 from __future__ import annotations
 
-import socket
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.errors import ReproError
-from repro.wire import recv_frame_sync, send_frame_sync
+from repro.node import NodeClient, NodeError
 
 __all__ = ["ReplicatedSchema", "ReplicationClient", "ReplicationError"]
 
 
-class ReplicationError(ReproError):
+class ReplicationError(NodeError):
     """A node answered a request with ``ok: false``."""
 
-    def __init__(self, reply: Dict[str, object]) -> None:
-        super().__init__(str(reply.get("error", reply)))
-        self.reply = reply
 
-
-class ReplicationClient:
+class ReplicationClient(NodeClient):
     """One framed-JSON connection to one replication node."""
 
-    def __init__(self, address: Tuple[str, int],
-                 timeout: float = 30.0) -> None:
-        self.address = address
-        self.timeout = timeout
-        self._sock = socket.create_connection(address, timeout=timeout)
-
-    def request(self, message: Dict[str, object],
-                timeout: Optional[float] = None) -> Dict[str, object]:
-        send_frame_sync(self._sock, message)
-        reply = recv_frame_sync(self._sock,
-                                timeout=timeout or self.timeout)
-        if not reply.get("ok"):
-            raise ReplicationError(reply)
-        return reply
+    error = ReplicationError
 
     def write(self, source: str, digest: bool = False) -> Dict[str, object]:
         """Define schemas on the primary; the reply carries the epoch."""
@@ -59,41 +36,14 @@ class ReplicationClient:
     def read(self, op: str = "digest", min_epoch: Optional[int] = None,
              timeout: Optional[float] = None,
              io_ms: float = 0) -> Dict[str, object]:
-        message = {"kind": "read", "op": op}
-        if io_ms:
-            message["io_ms"] = io_ms
-        if min_epoch is not None:
-            message["min_epoch"] = min_epoch
-            message["timeout"] = timeout if timeout is not None else 10.0
-        # Leave headroom over the server-side wait so a "stale" error
-        # comes back as a reply, not as a client socket timeout.
-        wire_timeout = (message.get("timeout", 0) + self.timeout
-                        if min_epoch is not None else timeout)
-        return self.request(message, timeout=wire_timeout)
-
-    def status(self) -> Dict[str, object]:
-        return self.request({"kind": "status"})
-
-    def promote(self) -> Dict[str, object]:
-        return self.request({"kind": "promote"})
-
-    def rewire(self, host: str, port: int) -> Dict[str, object]:
-        return self.request({"kind": "rewire", "host": host, "port": port})
-
-    def shutdown(self) -> Dict[str, object]:
-        return self.request({"kind": "shutdown"})
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "ReplicationClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        message = {"kind": "read", "op": op, "io_ms": io_ms}
+        if min_epoch is None:
+            return self.request(message, timeout=timeout)
+        wait = 10.0 if timeout is None else timeout
+        message.update(min_epoch=min_epoch, timeout=wait)
+        # Headroom over the node's wait: "stale" comes back as a reply,
+        # not as a client socket timeout.
+        return self.request(message, timeout=wait + self.timeout)
 
 
 class ReplicatedSchema:

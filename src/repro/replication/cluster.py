@@ -1,57 +1,35 @@
 """Process supervision and failover for a replication group.
 
 :class:`ReplicationCluster` spawns one primary and N replica
-*processes* (each a :func:`repro.replication.node.node_main`), hands
-out client connections, and runs the failover protocol:
+*processes* (each a :class:`~repro.replication.node.ReplicationNode`,
+started and reaped by :func:`repro.node.spawn` / :func:`repro.node.reap`),
+hands out client connections, and runs the failover protocol:
 
 1. :meth:`kill_primary` (or a real crash) removes the primary;
-2. :meth:`promote` polls the surviving replicas until their durable
-   byte offsets stop moving (the dead primary can ship nothing more,
-   so the offsets settle as the apply buffers drain), elects the
-   replica with the **highest durable offset** — the longest committed
-   prefix, of which every other log is itself a prefix — ties broken
-   by node name;
-3. the winner is told to ``promote`` (it truncates its volatile tail
-   and starts accepting writes), every other replica is told to
-   ``rewire`` to it, and the cluster records the new topology.
+2. :meth:`promote` waits until the survivors' durable offsets stop
+   moving and elects the **highest** — the longest committed prefix,
+   of which every other log is a prefix — ties broken by name;
+3. the winner is told to ``promote``, every other replica to
+   ``rewire`` to it.
 
 Commits the old primary acknowledged but never shipped durably to the
-winner are **lost** — asynchronous replication's documented trade; the
-stress oracle truncates its expectations accordingly
-(:meth:`repro.service.stress.StressOutcome.truncate_oracle`).
+winner are **lost** — asynchronous replication's documented trade.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.replication.client import ReplicationClient, ReplicationError
-from repro.wire import ProtocolError, WorkerDied, recv_message
+from repro.node import NodeError, NodeHandle, reap, spawn
+from repro.replication.client import ReplicationClient
+from repro.replication.node import ReplicationNode
+from repro.wire import ProtocolError, WorkerDied
 
 #: Node directories under the cluster root.
 NODE_DIR_FORMAT = "node-%02d"
-
-
-@dataclass
-class NodeHandle:
-    """One node process and how to reach it."""
-
-    name: str
-    directory: str
-    process: object
-    conn: object
-    host: str = "127.0.0.1"
-    port: int = 0
-    role: str = "replica"
-    alive: bool = field(default=True)
-
-    @property
-    def address(self):
-        return (self.host, self.port)
 
 
 class ReplicationCluster:
@@ -84,51 +62,14 @@ class ReplicationCluster:
         return cluster
 
     def _spawn(self, role: str, primary_address, features) -> NodeHandle:
-        import multiprocessing
-        from repro.replication.node import node_main
-        context = multiprocessing.get_context()
-        index = self._next_index
+        name = NODE_DIR_FORMAT % self._next_index
         self._next_index += 1
-        name = NODE_DIR_FORMAT % index
-        directory = os.path.join(self.root, name)
-        parent_conn, child_conn = context.Pipe()
-        process = context.Process(
-            target=node_main,
-            args=(child_conn, directory, role, primary_address,
-                  list(features) if features else None),
-            name=f"repl-{name}", daemon=True)
-        process.start()
-        child_conn.close()
-        handle = NodeHandle(name=name, directory=directory, process=process,
-                            conn=parent_conn, role=role)
+        args = (os.path.join(self.root, name), role, primary_address,
+                list(features) if features else None)
+        handle, = spawn([(name, ReplicationNode, args)])
+        handle.role = role
         self.nodes[name] = handle
-        try:
-            ready = recv_message(parent_conn, timeout=60.0)
-        except (ProtocolError, WorkerDied) as exc:
-            self._reap(handle, kill=True)
-            raise ReproError(f"node {name} never became ready: {exc}")
-        if ready.get("kind") == "error":
-            self._reap(handle, kill=True)
-            raise ReproError(f"node {name} failed to start: "
-                             f"{ready.get('error')}")
-        handle.port = ready["port"]
-        parent_conn.close()
         return handle
-
-    def _reap(self, handle: NodeHandle, kill: bool = False) -> None:
-        handle.alive = False
-        if kill and handle.process.is_alive():
-            handle.process.kill()
-        handle.process.join(timeout=10.0)
-        if handle.process.is_alive():
-            handle.process.kill()
-            handle.process.join(timeout=10.0)
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        if not handle.process.is_alive():
-            handle.process.close()
 
     def close(self) -> None:
         """Shut every node down cleanly (kill the unresponsive)."""
@@ -136,16 +77,10 @@ class ReplicationCluster:
             return
         self._closed = True
         for handle in self.nodes.values():
-            if not handle.alive:
-                continue
-            try:
-                with self.client(handle.name) as client:
-                    client.shutdown()
-            except (ReplicationError, WorkerDied, ProtocolError, OSError):
-                pass
-        for handle in self.nodes.values():
             if handle.alive:
-                self._reap(handle)
+                self._try(handle, "shutdown")
+        for handle in self.nodes.values():
+            reap(handle)
 
     def __enter__(self) -> "ReplicationCluster":
         return self
@@ -169,18 +104,26 @@ class ReplicationCluster:
         handle = self.nodes[name] if name else self.primary
         return ReplicationClient(handle.address)
 
+    def _ask(self, handle: NodeHandle, kind: str, **fields: object
+             ) -> Dict[str, object]:
+        """One request on a fresh connection to *handle*."""
+        with self.client(handle.name) as client:
+            return client.request(dict(fields, kind=kind))
+
+    def _try(self, handle: NodeHandle, kind: str
+             ) -> Optional[Dict[str, object]]:
+        """:meth:`_ask`, or None if the node is unreachable or refuses."""
+        try:
+            return self._ask(handle, kind)
+        except (NodeError, WorkerDied, ProtocolError, OSError):
+            return None
+
     def statuses(self) -> Dict[str, Dict[str, object]]:
         """Live nodes' status frames (dead nodes are skipped)."""
-        result = {}
-        for handle in self.nodes.values():
-            if not handle.alive:
-                continue
-            try:
-                with self.client(handle.name) as client:
-                    result[handle.name] = client.status()
-            except (ReplicationError, WorkerDied, ProtocolError, OSError):
-                pass
-        return result
+        replies = {handle.name: self._try(handle, "status")
+                   for handle in self.nodes.values() if handle.alive}
+        return {name: reply for name, reply in replies.items()
+                if reply is not None}
 
     def wait_for_epoch(self, epoch: int, timeout: float = 30.0) -> None:
         """Block until every live replica has applied *epoch*."""
@@ -195,7 +138,7 @@ class ReplicationCluster:
     def kill_primary(self) -> str:
         """SIGKILL the primary process (simulating a crash)."""
         handle = self.primary
-        self._reap(handle, kill=True)
+        reap(handle, kill=True)
         return handle.name
 
     def promote(self, settle_timeout: float = 30.0) -> str:
@@ -210,23 +153,17 @@ class ReplicationCluster:
         offsets = self._settled_offsets(candidates, settle_timeout)
         winner = max(candidates,
                      key=lambda handle: (offsets[handle.name], handle.name))
-        with self.client(winner.name) as client:
-            client.promote()
+        self._ask(winner, "promote")
         winner.role = "primary"
         old_primary = self.nodes.get(self.primary_name)
         if old_primary is not None and old_primary.alive:
             # A still-breathing old primary must stop taking writes;
             # this reproduction demotes by shutdown (no fencing tokens).
-            try:
-                with self.client(old_primary.name) as client:
-                    client.shutdown()
-            except (ReplicationError, WorkerDied, ProtocolError, OSError):
-                pass
-            self._reap(old_primary)
+            self._try(old_primary, "shutdown")
+            reap(old_primary)
         self.primary_name = winner.name
         for handle in self.replicas:
-            with self.client(handle.name) as client:
-                client.rewire(winner.host, winner.port)
+            self._ask(handle, "rewire", host=winner.host, port=winner.port)
         return winner.name
 
     def _settled_offsets(self, candidates: List[NodeHandle],
@@ -235,10 +172,8 @@ class ReplicationCluster:
         deadline = time.monotonic() + timeout
         previous: Optional[Dict[str, int]] = None
         while True:
-            offsets = {}
-            for handle in candidates:
-                with self.client(handle.name) as client:
-                    offsets[handle.name] = client.status()["durable_offset"]
+            offsets = {handle.name: self._ask(handle, "status")[
+                "durable_offset"] for handle in candidates}
             if offsets == previous or time.monotonic() > deadline:
                 return offsets
             previous = offsets

@@ -1,27 +1,13 @@
 """The epoch-digest linearizability oracle, run across processes.
 
-The single-process harness (:mod:`repro.service.stress`) pins the
-concurrent read path: writer commits, readers observe ``(epoch,
-digest)`` pairs, and every observation must match the serial oracle.
-This module runs the *same oracle* over the replication layer — the
-writer commits through the primary's socket, reader threads poll the
-replicas — and therefore proves, across process and machine-model
-boundaries:
-
-* **no torn reads** — every digest a replica serves equals the digest
-  the primary recorded for that epoch (the WAL-shipping apply path
-  reconstructs committed sessions exactly);
-* **monotonic epochs** — each reader's epoch sequence never
-  goes backwards, even while a promotion rewires its replica;
-* **digest equality at every epoch** — including across one forced
-  promotion: the primary is SIGKILLed mid-churn, the longest-prefix
-  replica is promoted, the oracle is truncated to the new primary's
-  epoch (acked-but-unshipped commits are lost *by design*), and the
-  churn continues against the survivor.
-
-Reuses :class:`repro.service.stress.StressOutcome` verbatim, so the
-verdict properties (``torn_reads`` / ``epochs_monotonic`` /
-``linearizable``) mean the same thing in both harnesses.
+The single-process harness's oracle (:mod:`repro.service.stress`),
+with the writer committing through the primary's socket and reader
+threads polling the replicas: no torn reads (a replica's digest at an
+epoch equals the primary's), monotonic epochs per reader, and digest
+equality at every epoch — across one forced promotion, after which the
+oracle is truncated to the new primary's epoch (acked-but-unshipped
+commits are lost *by design*).  The verdicts are
+:class:`~repro.service.stress.StressOutcome`'s, as in both harnesses.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""The one frame format: evolution log records, pipe and socket messages.
+"""The one frame format: evolution log records, socket and pipe messages.
 
-The WAL on disk (:mod:`repro.storage.wal`), farm requests over
-multiprocessing pipes (:mod:`repro.farm`) and replication traffic over
-sockets (:mod:`repro.replication`) are all sequences of frames
-(little-endian):
+The WAL on disk (:mod:`repro.storage.wal`), node requests and log
+shipping over sockets (:mod:`repro.node`, used by the farm and by
+replication) and the ready handshake a node process sends over a
+multiprocessing pipe (:func:`repro.node.spawn`) are all sequences of
+frames (little-endian):
 
     +--------+--------+----------------------+
     | length | crc32  | payload (JSON bytes) |
@@ -103,6 +104,7 @@ def decode_frame(data: bytes) -> Dict[str, object]:
 
 
 # -- pipes (multiprocessing connections keep message boundaries) -------------
+# Only the ready handshake of a node process still crosses a pipe.
 
 
 def send_message(conn, message: Dict[str, object]) -> None:

@@ -5,6 +5,8 @@ test in its class block, mirroring how a farm actually runs (state
 accumulates; tests pick fresh tenant names instead of fresh farms).
 """
 
+import threading
+
 import pytest
 
 from repro.farm import SchemaFarm
@@ -241,3 +243,46 @@ class TestLifecycle:
         farm.close()
         with pytest.raises(FarmError, match="closed"):
             farm.read("Anything", "schema_id")
+
+
+class TestEpochTokens:
+    def test_a_shard_token_never_goes_backwards(self):
+        """Two pool threads on one shard: the first reply (epoch 5) is
+        folded into the token only after the second (epoch 6) when the
+        token is written outside the shard's lock; inside it, never."""
+        first_writing, second_done = threading.Event(), threading.Event()
+
+        class OneShard:
+            lock = threading.Lock()
+            replies = iter([5, 6])
+
+            def request(self, message, timeout=None):
+                return {"ok": True, "epoch": next(self.replies)}
+
+        shard = OneShard()
+
+        class Tokens(dict):
+            def __setitem__(self, index, epoch):
+                if epoch == 5:
+                    first_writing.set()
+                    if not shard.lock.locked():  # the lock is already free:
+                        assert second_done.wait(30)  # the second overtakes
+                super().__setitem__(index, epoch)
+
+        farm = object.__new__(SchemaFarm)
+        farm._closed, farm._clients, farm.epochs = False, [shard], Tokens()
+
+        def second():
+            assert first_writing.wait(30)
+            farm.request(0, {"kind": "ping"})
+            second_done.set()
+
+        threads = [threading.Thread(target=farm.request,
+                                    args=(0, {"kind": "ping"})),
+                   threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert farm.epochs == {0: 6}
