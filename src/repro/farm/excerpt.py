@@ -21,7 +21,7 @@ removal, because two schemas homed on one shard may share base types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from repro.analyzer.namespaces import public_closure
 from repro.datalog.snapshot import RelationExcerpt, export_excerpt
@@ -29,8 +29,7 @@ from repro.datalog.terms import Atom
 from repro.gom.ids import Id
 from repro.gom.persistence import decode_value, encode_value
 
-__all__ = ["ForeignInstallPlan", "atoms_from_wire", "atoms_to_wire",
-           "excerpt_from_wire", "excerpt_to_wire", "foreign_entries",
+__all__ = ["ForeignInstallPlan", "excerpt_from_wire", "excerpt_to_wire",
            "install_foreign_schema", "plan_foreign_install",
            "schema_excerpt"]
 
@@ -66,18 +65,6 @@ def excerpt_from_wire(payload: Dict[str, object]) -> RelationExcerpt:
     )
 
 
-def atoms_to_wire(atoms: Sequence[Atom]) -> List[List[object]]:
-    """Ground atoms as WAL-record-form ``[pred, [args…]]`` lists."""
-    from repro.gom.persistence import encode_atom
-    return [encode_atom(atom) for atom in atoms]
-
-
-def atoms_from_wire(payload: Sequence[List[object]]) -> List[Atom]:
-    """Invert :func:`atoms_to_wire`."""
-    from repro.gom.persistence import decode_atom
-    return [decode_atom(item) for item in payload]
-
-
 # -- foreign installation ----------------------------------------------------
 
 
@@ -89,15 +76,6 @@ class ForeignInstallPlan:
     additions: List[Atom]
     deletions: List[Atom]
     protected: int
-
-
-def foreign_entries(model) -> List[Tuple[Id, int, int]]:
-    """The installed ``(schemaid, home shard, home epoch)`` triples."""
-    return sorted(
-        ((fact.args[0], fact.args[1], fact.args[2])
-         for fact in model.db.facts("ForeignSchema")),
-        key=repr,
-    )
 
 
 def plan_foreign_install(model, sid: Id, atoms: Sequence[Atom],

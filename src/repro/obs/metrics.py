@@ -39,13 +39,15 @@ Replication instruments (published by ``repro.replication.node``):
 * ``repl.reads`` / ``repl.writes`` (counters), and
 * ``repl.promotions`` (counter) — failover promotions this node won.
 
-Migration instruments (published by ``repro.runtime.migration``):
+Migration instruments (published by ``repro.runtime.migration``; an
+eager cure is a lazy cure converted in-session, so they count both):
 
-* ``migration.debt`` (gauge) — pending lazy conversions in object-steps
+* ``migration.debt`` (gauge) — pending conversions in object-steps
   (one per instance per registered step, paid back on conversion; kept
   by arithmetic, never by scanning the object base),
-* ``migration.registered`` (counter) — objects made stale by lazy cures,
-* ``migration.converted`` (counter) — objects converted on touch,
+* ``migration.registered`` (counter) — objects made stale by cures,
+* ``migration.converted`` (counter) — objects converted by a touch,
+  an eager cure's or a drain's,
 * ``migration.batches`` / ``migration.background_converted`` (counters)
   and ``migration.batch_ms`` (histogram) — background drain progress.
 """

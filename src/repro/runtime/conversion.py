@@ -1,4 +1,4 @@
-"""Object conversion routines (§3.5).
+"""Object conversion routines (§3.5): the eager cures.
 
 "The implementation of the conversion routines must be present in the
 Runtime System.  These conversion routines must be able to, e.g., add or
@@ -8,17 +8,23 @@ object-base model and fills the new slot of every instance.  The value
 source is exactly the paper's three options: "providing a default value,
 by asking the user for every instance, or by providing an operation
 that — called on the old instances — provides a value for the new slot".
+
+There is one conversion path.  An eager cure is the lazy cure of
+:mod:`repro.runtime.migration` — the same step registration, ``Slot``
+bookkeeping and convert-on-touch — with every instance of the subtype
+cone converted at once, inside the cure's session.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.errors import ConversionError
 from repro.datalog.terms import Atom
 from repro.gom.ids import Id
 from repro.gom.model import GomDatabase
 from repro.control.session import EvolutionSession
+from repro.runtime.migration import SlotAction
 from repro.runtime.objects import GomObject, RuntimeSystem
 
 #: A value source: a constant default, a per-object callable (the
@@ -30,31 +36,16 @@ ValueSource = Union[object, Callable[[GomObject], object], str]
 class ConversionRoutines:
     """The cures the runtime can execute on physical representations.
 
-    Cures are transactional with respect to the session that carries
-    them: every per-object slot mutation registers an undo entry on the
-    session (:meth:`EvolutionSession.record_undo`), so a caller-owned
-    session that rolls back restores the object base together with the
-    schema — objects are never left converted against a schema change
-    that never happened.
+    Every cure runs in :meth:`RuntimeSystem.bracket`'s session and is
+    transactional with respect to it: conversions record one undo entry
+    per converted object, so a caller-owned session that rolls back
+    restores the object base together with the schema — objects are
+    never left converted against a schema change that never happened.
     """
 
     def __init__(self, runtime: RuntimeSystem) -> None:
         self.runtime = runtime
         self.model: GomDatabase = runtime.model
-
-    @staticmethod
-    def _record_slot_undo(session: EvolutionSession, obj: GomObject,
-                          attr: str) -> None:
-        """Register the inverse of one imminent slot write on *session*."""
-        if attr in obj.slots:
-            old = obj.slots[attr]
-
-            def undo(obj=obj, attr=attr, old=old):
-                obj.slots[attr] = old
-        else:
-            def undo(obj=obj, attr=attr):
-                obj.slots.pop(attr, None)
-        session.record_undo(undo)
 
     # -- adding a slot (the paper's fuelType example) ----------------------------
 
@@ -62,8 +53,9 @@ class ConversionRoutines:
                  session: Optional[EvolutionSession] = None,
                  value_is_operation: bool = False,
                  overwrite: bool = False) -> int:
-        """Add a slot for *attr* to the representation of *tid* and fill
-        it on every instance.  Returns the number of converted objects.
+        """Add a slot for *attr* to the representations of *tid*'s
+        subtype cone and fill it on every instance.  Returns the number
+        of converted objects.
 
         The attribute must already exist in the schema (the schema change
         precedes the cure).  *source* is a constant, a callable
@@ -74,48 +66,13 @@ class ConversionRoutines:
         masking handler's materialization, or written mid-session) keep
         it; pass ``overwrite=True`` to clobber them with *source*.
         """
-        attrs = dict(self.model.attributes(tid, inherited=True))
-        if attr not in attrs:
-            raise ConversionError(
-                f"type {self.model.type_name(tid)!r} has no attribute "
-                f"{attr!r} — add the attribute before converting")
-        clid = self.model.phrep_of(tid)
-        if clid is None:
+        tid = self.runtime._resolve_type(tid)
+        if not self.runtime.migrations._phreps_in_cone(tid):
             raise ConversionError(
                 f"type {self.model.type_name(tid)!r} has no instances, "
                 f"nothing to convert")
-        active, owned = self.runtime._auto_session(session)
-        converted = 0
-        try:
-            domain_rep = self.runtime._phrep_for_domain(active, attrs[attr])
-            slot_fact = Atom("Slot", (clid, attr, domain_rep))
-            if not self.model.db.edb.contains(slot_fact):
-                active.add(slot_fact)
-            for obj in self.runtime.objects_of(tid):
-                if attr in obj.slots and not overwrite:
-                    continue
-                value = self._produce(obj, source, value_is_operation)
-                self._record_slot_undo(active, obj, attr)
-                self.runtime.set_attr(obj, attr, value)
-                converted += 1
-        except Exception:
-            if owned:
-                active.rollback()
-            raise
-        if owned:
-            active.commit()
-        return converted
-
-    def _produce(self, obj: GomObject, source: ValueSource,
-                 value_is_operation: bool) -> object:
-        if value_is_operation:
-            if not isinstance(source, str):
-                raise ConversionError(
-                    "value_is_operation requires an operation name")
-            return self.runtime.call(obj, source)
-        if callable(source):
-            return source(obj)
-        return source
+        return self._convert(tid, (SlotAction(
+            "add", attr, source, value_is_operation, overwrite),), session)
 
     # -- the masking cure (ENCORE-style, Skarra & Zdonik) ----------------------------
 
@@ -138,8 +95,7 @@ class ConversionRoutines:
                 f"{attr!r} — add the attribute before masking")
         runtime = self.runtime
         registry = runtime.handlers
-        active, owned = runtime._auto_session(session)
-        try:
+        with runtime.bracket(session) as active:
             clid = self.model.phrep_of(tid)
             if clid is not None:
                 domain_rep = runtime._phrep_for_domain(active, attrs[attr])
@@ -164,57 +120,17 @@ class ConversionRoutines:
                                    materialize=materialize)
             if writer is not None:
                 registry.register_write(tid, attr, writer)
-        except Exception:
-            if owned:
-                active.rollback()
-            raise
-        if owned:
-            active.commit()
 
     # -- deleting a slot -------------------------------------------------------------
 
     def delete_slot(self, tid: Id, attr: str,
                     session: Optional[EvolutionSession] = None) -> int:
-        """Remove a slot from the representation of *tid*, drop the
-        value from every instance, and unregister any masking handlers
-        for the attribute (a stale handler would resurrect values of the
-        deleted slot).  All of it is transactional on the session."""
-        runtime = self.runtime
-        registry = runtime.handlers
-        clid = self.model.phrep_of(tid)
-        previous_entry = registry.entry(tid, attr)
-        has_handlers = any(part is not None for part in previous_entry)
-        has_deferred = attr in runtime.deferred_masked_slots(tid)
-        if clid is None and not has_handlers and not has_deferred:
-            return 0
-        active, owned = runtime._auto_session(session)
-        removed = 0
-        try:
-            if clid is not None:
-                for fact in list(self.model.db.matching(
-                        Atom("Slot", (clid, attr, None)))):
-                    active.remove(fact)
-                for obj in runtime.objects_of(tid):
-                    if attr in obj.slots:
-                        self._record_slot_undo(active, obj, attr)
-                        del obj.slots[attr]
-                        removed += 1
-            if has_handlers:
-                active.record_undo(
-                    lambda: registry.restore(tid, attr, previous_entry))
-                registry.unregister(tid, attr)
-            if has_deferred:
-                previous_deferred = runtime.undefer_masked_slot(tid, attr)
-                active.record_undo(
-                    lambda: runtime.restore_deferred_slot(
-                        tid, attr, previous_deferred))
-        except Exception:
-            if owned:
-                active.rollback()
-            raise
-        if owned:
-            active.commit()
-        return removed
+        """Remove a slot from the representations of *tid*'s subtype
+        cone, drop the value from every instance, and unregister any
+        masking handlers for the attribute (a stale handler would
+        resurrect values of the deleted slot).  Returns the number of
+        objects that held a value."""
+        return self._convert(tid, (SlotAction("drop", attr),), session)
 
     # -- syncing after repairs ----------------------------------------------------------
 
@@ -224,26 +140,25 @@ class ConversionRoutines:
         """After a ``+Slot`` repair was applied at the model level, fill
         the slot values of every instance (protocol step 9: 'the
         Consistency Control initiates the execution of the chosen repair
-        by the … Runtime System').
+        by the … Runtime System').  Returns the number of slots filled.
 
-        Runs through :meth:`RuntimeSystem._auto_session` like every
-        other cure: it joins the given (or model-active) session so a
-        later rollback also unfills the slots, and when it has to open
-        its own session the fills commit — and reach the durable
-        evolution log — as one atomic session.
+        All *sources* convert as one step.  Like every cure it joins the
+        given (or model-active) session, so a later rollback also
+        unfills the slots; a session it opens itself commits — and
+        reaches the durable evolution log — as one atomic session.
         """
-        active, owned = self.runtime._auto_session(session)
-        converted = 0
-        for obj in self.runtime.objects_of(tid):
-            for attr, source in sources.items():
-                if attr not in obj.slots:
-                    value = self._produce(obj, source, False)
-                    self._record_slot_undo(active, obj, attr)
-                    self.runtime.set_attr(obj, attr, value)
-                    converted += 1
-        if owned:
-            active.commit()
-        return converted
+        return self._convert(tid, tuple(
+            SlotAction("add", attr, source)
+            for attr, source in sources.items()), session)
+
+    def _convert(self, tid: Id, actions: Tuple[SlotAction, ...],
+                 session: Optional[EvolutionSession]) -> int:
+        """Register *actions* as a lazy cure, then convert its cone now."""
+        runtime = self.runtime
+        tid = runtime._resolve_type(tid)
+        with runtime.bracket(session) as active:
+            runtime.migrations._register_cure(active, tid, actions)
+            return runtime.migrations._convert_cone(tid, actions)
 
     def delete_all_instances(self, tid: Id,
                              session: Optional[EvolutionSession] = None
@@ -251,9 +166,7 @@ class ConversionRoutines:
         """The paper's "brute force" cure: delete all instances of the
         type (what the ``-PhRep`` repair means)."""
         objects = self.runtime.objects_of(tid)
-        active, owned = self.runtime._auto_session(session)
-        for obj in objects:
-            self.runtime.delete_object(obj.oid, session=active)
-        if owned:
-            active.commit()
+        with self.runtime.bracket(session) as active:
+            for obj in objects:
+                self.runtime.delete_object(obj.oid, session=active)
         return len(objects)

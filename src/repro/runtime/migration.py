@@ -5,7 +5,9 @@ evolution session — correct, but a stop-the-world migration that no
 store survives once bases hold millions of objects.  The masking
 machinery already hints at the alternative ("each object pays the
 conversion cost on first touch only", :mod:`repro.runtime.handlers`);
-this module generalizes it into a full migration engine:
+this module generalizes it into a full migration engine, and is the one
+conversion path: an eager cure (:mod:`repro.runtime.conversion`) is a
+lazy cure whose cone is converted at once, in the same session.
 
 * **Version-tagged objects** — every :class:`~repro.runtime.objects.
   GomObject` carries a ``schema_version`` stamped at creation.  A lazy
@@ -16,8 +18,8 @@ this module generalizes it into a full migration engine:
 * **Convert-on-touch** — the runtime's ``get_attr`` / ``set_attr`` /
   ``call`` entry points call :meth:`MigrationEngine.touch`, which
   detects a stale tag and replays the object's pending-migration chain
-  through the undo-recording slot mutators before serving the access,
-  so touched-then-rolled-back sessions leave no residue.
+  before serving the access, recording one undo entry for the object's
+  slots and tag, so touched-then-rolled-back sessions leave no residue.
 * **A throttled background migrator** — :class:`BackgroundMigrator`
   drains the cold remainder in short writer-lock-holding batches
   (batch size + sleep budget, pause/resume), each batch a normal
@@ -33,18 +35,45 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ConversionError
 from repro.datalog.terms import Atom
 from repro.gom.ids import Id
 from repro.control.session import EvolutionSession
+from repro.runtime.objects import _MISSING
 
 #: Instance populations at or below this size are cheap enough to
 #: convert eagerly inside the session; above it the advisor recommends
 #: lazy conversion (the session must stay fast regardless of base size).
 EAGER_THRESHOLD = 1024
+
+
+class _Unmigrate:
+    """A touch's one undo entry: the object's slots and version tag.
+
+    *saved* holds flat ``(attr, previous value)`` pairs in write order;
+    undoing them last-first restores each slot's pre-touch value.
+    """
+
+    __slots__ = ("engine", "obj", "version", "saved")
+
+    def __init__(self, engine, obj) -> None:
+        self.engine = engine
+        self.obj = obj
+        self.version = obj.schema_version
+        self.saved: list = []
+
+    def __call__(self) -> None:
+        obj, saved = self.obj, self.saved
+        for index in range(len(saved) - 2, -1, -2):
+            if saved[index + 1] is _MISSING:
+                obj.slots.pop(saved[index], None)
+            else:
+                obj.slots[saved[index]] = saved[index + 1]
+        self.engine._move_debt_gauge(obj.schema_version - self.version)
+        obj.schema_version = self.version
 
 
 @dataclass(frozen=True)
@@ -64,6 +93,14 @@ class SlotAction:
     source: object = None
     value_is_operation: bool = False
     overwrite: bool = False
+    #: The attribute's domain, stamped when the step is registered.
+    domain: Optional[Id] = None
+
+    def changes(self, obj) -> bool:
+        """Whether applying this action to *obj* changes its slots."""
+        if self.kind == "drop":
+            return self.attr in obj.slots
+        return self.overwrite or self.attr not in obj.slots
 
 
 @dataclass(frozen=True)
@@ -124,7 +161,7 @@ class MigrationEngine:
                 if obj.schema_version < target:
                     yield obj
 
-    # -- registering lazy cures ------------------------------------------------
+    # -- registering cures ----------------------------------------------------
 
     def add_slot(self, type_ref, attr: str, source,
                  session: Optional[EvolutionSession] = None,
@@ -138,10 +175,11 @@ class MigrationEngine:
         is visited**.  Returns the migration debt created (instances
         that will convert on first touch or in the background drain).
         """
-        return self._register_cure(type_ref, attr, session, insert=True,
-                                   action=lambda: SlotAction(
-                                       "add", attr, source,
-                                       value_is_operation, overwrite))
+        with self.runtime.bracket(session) as active:
+            return self._register_cure(
+                active, self.runtime._resolve_type(type_ref),
+                (SlotAction("add", attr, source, value_is_operation,
+                            overwrite),))
 
     def delete_slot(self, type_ref, attr: str,
                     session: Optional[EvolutionSession] = None) -> int:
@@ -152,53 +190,69 @@ class MigrationEngine:
         and registers a pending ``drop`` step per instantiated type.
         Returns the migration debt created.
         """
-        return self._register_cure(type_ref, attr, session, insert=False,
-                                   action=lambda: SlotAction("drop", attr))
+        with self.runtime.bracket(session) as active:
+            return self._register_cure(
+                active, self.runtime._resolve_type(type_ref),
+                (SlotAction("drop", attr),))
 
-    def _register_cure(self, type_ref, attr, session, insert, action) -> int:
+    def _register_cure(self, session: EvolutionSession, tid: Id,
+                       actions: Tuple[SlotAction, ...]) -> int:
+        """Register one step of *actions* on *tid*'s subtype cone.
+
+        The one registration of both cures: it validates every action
+        before it changes anything (the attribute must exist, a constant
+        value must conform to its domain), keeps the cone's ``Slot``
+        facts, handlers and deferred masked slots in line with the
+        actions, and appends the step to every instantiated type's
+        chain.  Returns the migration debt created.
+        """
         runtime = self.runtime
-        tid = runtime._resolve_type(type_ref)
         attrs = dict(self.model.attributes(tid, inherited=True))
-        if insert and attr not in attrs:
-            raise ConversionError(
-                f"type {self.model.type_name(tid)!r} has no attribute "
-                f"{attr!r} — add the attribute before converting")
-        active, owned = runtime._auto_session(session)
-        debt = 0
-        try:
-            if insert:
-                domain_rep = runtime._phrep_for_domain(active, attrs[attr])
+        stamped = []
+        for act in actions:
+            if act.kind == "add":
+                if act.attr not in attrs:
+                    raise ConversionError(
+                        f"type {self.model.type_name(tid)!r} has no "
+                        f"attribute {act.attr!r} — add the attribute "
+                        f"before converting")
+                if act.value_is_operation:
+                    if not isinstance(act.source, str):
+                        raise ConversionError(
+                            "value_is_operation requires an operation name")
+                elif not callable(act.source):
+                    runtime._check_conforms(attrs[act.attr], act.source,
+                                            act.attr)
+                act = replace(act, domain=attrs[act.attr])
+            stamped.append(act)
+        for act in stamped:
+            attr = act.attr
+            if act.kind == "add":
+                domain_rep = runtime._phrep_for_domain(session, act.domain)
                 for clid in self._phreps_in_cone(tid):
                     fact = Atom("Slot", (clid, attr, domain_rep))
                     if not self.model.db.edb.contains(fact):
-                        active.add(fact)
-            else:
-                for clid in self._phreps_in_cone(tid):
-                    for fact in list(self.model.db.matching(
-                            Atom("Slot", (clid, attr, None)))):
-                        active.remove(fact)
-                registry = runtime.handlers
-                for cone_tid in self._cone_types(tid):
-                    previous = registry.entry(cone_tid, attr)
-                    if any(entry is not None for entry in previous):
-                        active.record_undo(
-                            lambda t=cone_tid, p=previous:
-                            registry.restore(t, attr, p))
-                        registry.unregister(cone_tid, attr)
-                    deferred = runtime.undefer_masked_slot(cone_tid, attr)
-                    if deferred is not None:
-                        active.record_undo(
-                            lambda t=cone_tid, d=deferred:
-                            runtime.restore_deferred_slot(t, attr, d))
-            for affected in self._affected_types(tid):
-                debt += self._register_step(active, affected, (action(),))
-        except Exception:
-            if owned:
-                active.rollback()
-            raise
-        if owned:
-            active.commit()
-        return debt
+                        session.add(fact)
+                continue
+            for clid in self._phreps_in_cone(tid):
+                for fact in list(self.model.db.matching(
+                        Atom("Slot", (clid, attr, None)))):
+                    session.remove(fact)
+            registry = runtime.handlers
+            for cone_tid in self._cone_types(tid):
+                previous = registry.entry(cone_tid, attr)
+                if any(entry is not None for entry in previous):
+                    session.record_undo(
+                        lambda t=cone_tid, a=attr, p=previous:
+                        registry.restore(t, a, p))
+                    registry.unregister(cone_tid, attr)
+                deferred = runtime.undefer_masked_slot(cone_tid, attr)
+                if deferred is not None:
+                    session.record_undo(
+                        lambda t=cone_tid, a=attr, d=deferred:
+                        runtime.restore_deferred_slot(t, a, d))
+        return sum(self._register_step(session, affected, tuple(stamped))
+                   for affected in self._affected_types(tid))
 
     def _register_step(self, session: EvolutionSession, tid: Id,
                        actions: Tuple[SlotAction, ...]) -> int:
@@ -244,7 +298,7 @@ class MigrationEngine:
 
     def _cone_types(self, tid: Id) -> List[Id]:
         """*tid* and every subtype that has a representation or instances."""
-        cone = set()
+        cone = {tid}
         for fact in self.model.db.matching(Atom("PhRep", (None, None))):
             other = fact.args[1]
             if other == tid or self.model.is_subtype(other, tid):
@@ -268,14 +322,17 @@ class MigrationEngine:
             other for other in self.runtime._instances_by_type
             if other == tid or self.model.is_subtype(other, tid))
 
-    # -- convert-on-touch ------------------------------------------------------
+    # -- converting -----------------------------------------------------------
 
     def touch(self, obj) -> bool:
         """Bring *obj* up to its type's current version; True if converted.
 
-        Runs the full pending chain through the runtime's undo-recording
-        slot mutators, so a touch inside a session that later rolls back
-        restores both the slots and the version tag.
+        Replays the object's pending chain and records **one** undo
+        entry on the open session that restores its slots and version
+        tag together, so a touch inside a session that later rolls back
+        leaves no residue.  A value source that raises (or yields a
+        value outside the attribute's domain) leaves the object as it
+        was, still stale.
         """
         steps = self._steps.get(obj.tid)
         if not steps or obj.schema_version >= len(steps) \
@@ -292,43 +349,57 @@ class MigrationEngine:
         return True
 
     def _migrate(self, obj, steps: List[PendingMigration]) -> None:
-        runtime = self.runtime
-        target = len(steps)
-        for step in steps[obj.schema_version:]:
-            for act in step.actions:
-                if act.kind == "add":
-                    if act.attr in obj.slots and not act.overwrite:
-                        continue
-                    value = self._produce(obj, act)
-                    runtime.store_slot(obj, act.attr, value)
-                elif act.kind == "drop":
-                    runtime.drop_slot(obj, act.attr)
-                else:  # pragma: no cover - guarded at construction
-                    raise ConversionError(
-                        f"unknown migration action {act.kind!r}")
-        self._stamp(obj, target)
-
-    def _produce(self, obj, act: SlotAction):
-        if act.value_is_operation:
-            if not isinstance(act.source, str):
-                raise ConversionError(
-                    "value_is_operation requires an operation name")
-            return self.runtime.call(obj, act.source)
-        if callable(act.source):
-            return act.source(obj)
-        return act.source
-
-    def _stamp(self, obj, version: int) -> None:
+        undo = _Unmigrate(self, obj)
+        slots, saved = obj.slots, undo.saved
+        try:
+            for step in steps[undo.version:]:
+                for act in step.actions:
+                    attr = act.attr
+                    if act.kind == "drop":
+                        if attr in slots:
+                            saved += (attr, slots.pop(attr))
+                    elif act.overwrite or attr not in slots:
+                        value = self._produce(obj, act)
+                        saved += (attr, slots.get(attr, _MISSING))
+                        slots[attr] = value
+        except BaseException:
+            undo()
+            raise
         active = getattr(self.model, "active_session", None)
         if active is not None and active.active:
-            old = obj.schema_version
-
-            def undo(obj=obj, old=old):
-                obj.schema_version = old
-                self._move_debt_gauge(version - old)
+            undo.saved = tuple(saved)  # the compact form it is kept in
             active.record_undo(undo)
-        self._move_debt_gauge(obj.schema_version - version)
-        obj.schema_version = version
+        self._move_debt_gauge(undo.version - len(steps))
+        obj.schema_version = len(steps)
+
+    def _produce(self, obj, act: SlotAction):
+        """The value *act* stores on *obj*.
+
+        A constant was checked against the domain when the step was
+        registered; a callable's or an operation's value is checked
+        here, before it is stored.
+        """
+        if act.value_is_operation:
+            value = self.runtime.call(obj, act.source)
+        elif callable(act.source):
+            value = act.source(obj)
+        else:
+            return act.source
+        self.runtime._check_conforms(act.domain, value, act.attr)
+        return value
+
+    def _convert_cone(self, tid: Id, actions: Tuple[SlotAction, ...]) -> int:
+        """Convert every instance in *tid*'s cone now (the eager half of
+        a cure); returns how many of their slots *actions* change."""
+        runtime = self.runtime
+        changed = 0
+        for affected in self._affected_types(tid):
+            for oid in sorted(runtime._instances_by_type.get(affected, ()),
+                              key=Id._sort_key):
+                obj = runtime._objects[oid]
+                changed += sum(act.changes(obj) for act in actions)
+                self.touch(obj)
+        return changed
 
     # -- draining --------------------------------------------------------------
 

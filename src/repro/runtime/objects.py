@@ -15,8 +15,9 @@ is an old type version being used as a newer one.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import (
     GomTypeError,
@@ -76,18 +77,33 @@ class RuntimeSystem:
 
     # -- session plumbing ------------------------------------------------------
 
-    def _auto_session(self, session: Optional[EvolutionSession]
-                      ) -> Tuple[EvolutionSession, bool]:
-        """Use the given session, join the model's open one, or open a
-        short-lived session of our own (returned flag = we own it)."""
+    @contextmanager
+    def bracket(self, session: Optional[EvolutionSession] = None
+                ) -> Iterator[EvolutionSession]:
+        """The one session bracket of runtime operations and cures.
+
+        Yields the given session, else the model's open one, else a
+        short-lived session of its own.  A session the bracket opened
+        commits when the block ends and rolls back on any exception, a
+        failed commit's included, so no failure leaves it open; a joined
+        session is the caller's to end.
+        """
+        if session is None:
+            active = getattr(self.model, "active_session", None)
+            if active is not None and active.active:
+                session = active
         if session is not None:
-            return session, False
-        active = getattr(self.model, "active_session", None)
-        if active is not None and active.active:
-            return active, False
-        fresh = EvolutionSession(self.model)
-        fresh.register_explainer(self.explainer)
-        return fresh, True
+            yield session
+            return
+        owned = EvolutionSession(self.model)
+        owned.register_explainer(self.explainer)
+        try:
+            yield owned
+            owned.commit()
+        except BaseException:
+            if owned.active:
+                owned.rollback()
+            raise
 
     # -- object lifecycle ---------------------------------------------------------
 
@@ -135,8 +151,7 @@ class RuntimeSystem:
                 f"{self.model.type_name(tid)!r}")
         for name, value in values.items():
             self._check_conforms(attrs[name], value, name)
-        active, owned = self._auto_session(session)
-        try:
+        with self.bracket(session) as active:
             self._ensure_phrep(active, tid, attrs)
             oid = self.model.ids.object()
             obj = GomObject(oid=oid, tid=tid, slots=dict(values),
@@ -146,12 +161,6 @@ class RuntimeSystem:
             # The PhRep/Slot facts roll back via the EDB snapshot; the
             # object store needs explicit compensation.
             active.record_undo(lambda: self._discard_object(obj))
-        except Exception:
-            if owned:
-                active.rollback()
-            raise
-        if owned:
-            active.commit()
         return obj
 
     def _discard_object(self, obj: GomObject) -> None:
@@ -172,17 +181,15 @@ class RuntimeSystem:
                       session: Optional[EvolutionSession] = None) -> None:
         """Delete an object; the last instance retracts the PhRep/Slots."""
         obj = self.get(oid)
-        active, owned = self._auto_session(session)
-        del self._objects[oid]
-        active.record_undo(lambda: self._restore_object(obj))
-        members = self._instances_by_type.get(obj.tid)
-        if members is not None:
-            members.discard(oid)
-            if not members:
-                del self._instances_by_type[obj.tid]
-                self._retract_phrep(active, obj.tid)
-        if owned:
-            active.commit()
+        with self.bracket(session) as active:
+            del self._objects[oid]
+            active.record_undo(lambda: self._restore_object(obj))
+            members = self._instances_by_type.get(obj.tid)
+            if members is not None:
+                members.discard(oid)
+                if not members:
+                    del self._instances_by_type[obj.tid]
+                    self._retract_phrep(active, obj.tid)
 
     def _resolve_type(self, type_ref) -> Id:
         if isinstance(type_ref, Id):
@@ -268,19 +275,15 @@ class RuntimeSystem:
     def store_slot(self, obj: GomObject, attr: str, value: object) -> None:
         """Write a slot value, recording its inverse on the open session.
 
-        The transactional write path for cures and lazy materialization:
-        when an evolution session is active on the model, the previous
-        state of the slot (old value, or absence) is registered as an
-        undo entry first, so a later rollback restores the object.
+        The transactional write path of lazy materialization: when an
+        evolution session is active on the model, the previous state of
+        the slot (old value, or absence) is registered as an undo entry
+        first, so a later rollback restores the object.  (A conversion
+        records one undo entry per object instead; see
+        :meth:`~repro.runtime.migration.MigrationEngine.touch`.)
         """
         self._record_slot_undo(obj, attr)
         obj.slots[attr] = value
-
-    def drop_slot(self, obj: GomObject, attr: str) -> None:
-        """Remove a slot value (if present), recording undo likewise."""
-        if attr in obj.slots:
-            self._record_slot_undo(obj, attr)
-            del obj.slots[attr]
 
     def _record_slot_undo(self, obj: GomObject, attr: str) -> None:
         active = getattr(self.model, "active_session", None)

@@ -4,20 +4,10 @@
 snapshots on a thread pool while evolution sessions — serialized by the
 model's writer lock — publish new snapshots at every successful EES.
 
-Past one process: :class:`~repro.farm.SchemaFarm` (re-exported here
-lazily) runs one durable manager *process* per shard behind the same
-``read()`` / ``submit()`` / ``batch()`` shape, scaling writers too.
+Past one process, :class:`repro.farm.SchemaFarm` runs one durable
+manager *process* per shard, scaling writers too.
 """
 
 from repro.service.service import ReadSession, SchemaService
 
-__all__ = ["ReadSession", "SchemaFarm", "SchemaService"]
-
-
-def __getattr__(name: str):
-    # Lazy: the farm pulls in multiprocessing machinery most service
-    # users never need.
-    if name == "SchemaFarm":
-        from repro.farm import SchemaFarm
-        return SchemaFarm
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["ReadSession", "SchemaService"]

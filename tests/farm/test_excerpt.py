@@ -15,11 +15,8 @@ from repro.analyzer.namespaces import (
 from repro.datalog.terms import Atom
 from repro.farm import FARM_FEATURES
 from repro.farm.excerpt import (
-    atoms_from_wire,
-    atoms_to_wire,
     excerpt_from_wire,
     excerpt_to_wire,
-    foreign_entries,
     install_foreign_schema,
     plan_foreign_install,
     schema_excerpt,
@@ -62,6 +59,11 @@ def fresh(source=None, stride=0):
     return manager
 
 
+def foreign_schemas(manager):
+    """The installed ``ForeignSchema(sid, home shard, home epoch)`` rows."""
+    return [fact.args for fact in manager.model.db.facts("ForeignSchema")]
+
+
 def name_level_visibility(manager, schema_name):
     """(kind, visible, origin-schema-name, original) rows at a schema."""
     from repro.analyzer.namespaces import model_schema_name
@@ -95,11 +97,6 @@ class TestWireForms:
         assert sorted(back.decoded(), key=repr) == \
             sorted(excerpt.decoded(), key=repr)
 
-    def test_atoms_wire_round_trip(self):
-        home = fresh(HOME_SOURCE)
-        atoms = public_closure(home.model, home.model.schema_id("Home"))
-        assert atoms_from_wire(atoms_to_wire(atoms)) == atoms
-
 
 class TestForeignInstall:
     def _exchange(self, home, away):
@@ -131,7 +128,7 @@ class TestForeignInstall:
     def test_provenance_fact_records_the_home_epoch(self):
         home, away = fresh(HOME_SOURCE, stride=1), fresh(AWAY_SOURCE)
         sid = self._exchange(home, away)
-        assert foreign_entries(away.model) == \
+        assert foreign_schemas(away) == \
             [(sid, 1, home.model.epoch)]
 
     def test_implementation_types_stay_home(self):
@@ -158,7 +155,7 @@ class TestForeignInstall:
         part = away.model.type_id("Part", sid)
         assert sorted(name for name, _ in away.model.attributes(part)) \
             == ["cost"]
-        assert foreign_entries(away.model) == \
+        assert foreign_schemas(away) == \
             [(sid, 1, home.model.epoch)]
         assert away.check().consistent
 
@@ -227,5 +224,5 @@ class TestForeignInstall:
             install_foreign_schema(away, sid, broken, home_shard=1,
                                    home_epoch=home.model.epoch)
         assert away.model.epoch == epoch_before
-        assert foreign_entries(away.model) == []
+        assert foreign_schemas(away) == []
         assert away.check().consistent

@@ -1,8 +1,14 @@
-"""Unit tests for conversion routines (§3.5 cures)."""
+"""Unit tests for conversion routines (§3.5 cures).
+
+The add/delete classes run on both cure paths: the eager
+``manager.conversions`` routines, and the lazy ``manager.migrations``
+registration followed by a drain of the session — which is what the
+eager cure is made of, so both must leave the same object base.
+"""
 
 import pytest
 
-from repro.errors import ConversionError
+from repro.errors import ConversionError, GomTypeError
 from repro.datalog.terms import Atom
 from repro.gom.builtins import builtin_type
 from repro.manager import SchemaManager
@@ -23,6 +29,26 @@ def world():
     return manager, result, objects
 
 
+def eager(manager, name, *args, **kwargs):
+    """Run the eager cure *name* (``add_slot`` / ``delete_slot``)."""
+    return getattr(manager.conversions, name)(*args, **kwargs)
+
+
+def lazy(manager, name, *args, **kwargs):
+    """Register the lazy cure *name*, then convert its debt at once."""
+    debt = getattr(manager.migrations, name)(*args, **kwargs)
+    manager.migrations.drain_in_session(manager.model.active_session)
+    return debt
+
+
+def slot_violations(manager):
+    """The constraint-(*) violations the open or committed state has."""
+    session = manager.model.active_session
+    report = session.check() if session is not None else manager.check()
+    return [v for v in report.violations
+            if v.constraint.name in ("slot_exists", "slot_has_attr")]
+
+
 def add_fuel_type_attr(manager, result):
     ids = car_schema_ids(result)
     session = manager.begin_session()
@@ -32,11 +58,14 @@ def add_fuel_type_attr(manager, result):
 
 
 class TestAddSlot:
+    cure = staticmethod(eager)
+
     def test_default_value_conversion(self, world):
         manager, result, objects = world
         session, ids = add_fuel_type_attr(manager, result)
-        converted = manager.conversions.add_slot(
-            ids["tid4"], "fuelType", "leaded", session=session)
+        converted = self.cure(manager, "add_slot",
+                              ids["tid4"], "fuelType", "leaded",
+                              session=session)
         assert converted == 1
         session.commit()
         assert objects["Car"].slots["fuelType"] == "leaded"
@@ -45,8 +74,8 @@ class TestAddSlot:
     def test_per_object_callable(self, world):
         manager, result, objects = world
         session, ids = add_fuel_type_attr(manager, result)
-        manager.conversions.add_slot(
-            ids["tid4"], "fuelType",
+        self.cure(
+            manager, "add_slot", ids["tid4"], "fuelType",
             lambda car: "unleaded" if car.slots["maxspeed"] > 150 else
             "leaded",
             session=session)
@@ -66,9 +95,8 @@ class TestAddSlot:
                       ' begin return "unleaded"; end'
                       ' else begin return "leaded"; end end')
         prims.add_attribute(ids["tid4"], "fuelType", STRING)
-        manager.conversions.add_slot(ids["tid4"], "fuelType", "guessFuel",
-                                     session=session,
-                                     value_is_operation=True)
+        self.cure(manager, "add_slot", ids["tid4"], "fuelType",
+                  "guessFuel", session=session, value_is_operation=True)
         session.commit()
         assert objects["Car"].slots["fuelType"] == "unleaded"
         assert manager.check().consistent
@@ -77,7 +105,7 @@ class TestAddSlot:
         manager, result, objects = world
         ids = car_schema_ids(result)
         with pytest.raises(ConversionError):
-            manager.conversions.add_slot(ids["tid4"], "ghost", "x")
+            self.cure(manager, "add_slot", ids["tid4"], "ghost", "x")
 
     def test_uninstantiated_type_has_nothing_to_convert(self, world):
         manager, result, objects = world
@@ -86,20 +114,72 @@ class TestAddSlot:
         prims = manager.analyzer.primitives(session)
         lonely = prims.add_type(ids["sid1"], "Lonely")
         prims.add_attribute(lonely, "x", STRING)
-        with pytest.raises(ConversionError):
-            manager.conversions.add_slot(lonely, "x", "v", session=session)
+        if self.cure is eager:
+            with pytest.raises(ConversionError):
+                eager(manager, "add_slot", lonely, "x", "v",
+                      session=session)
+        else:
+            assert lazy(manager, "add_slot", lonely, "x", "v",
+                        session=session) == 0
+        session.rollback()
+
+    def test_supertype_cure_covers_the_instantiated_subtype(self, world):
+        """Location and its subtype City have one instance each: the
+        cure fills both and leaves constraint (*) satisfied."""
+        manager, result, objects = world
+        ids = car_schema_ids(result)
+        session = manager.begin_session()
+        manager.analyzer.primitives(session).add_attribute(
+            ids["tid2"], "region", STRING)
+        converted = self.cure(manager, "add_slot", ids["tid2"], "region",
+                              "south", session=session)
+        assert converted == 2
+        assert slot_violations(manager) == []
+        session.commit()
+        assert objects["Location"].slots["region"] == "south"
+        assert objects["City"].slots["region"] == "south"
+
+    def test_constant_outside_the_domain_is_refused_up_front(self, world):
+        manager, result, objects = world
+        ids = car_schema_ids(result)
+        session = manager.begin_session()
+        manager.analyzer.primitives(session).add_attribute(
+            ids["tid4"], "doors", builtin_type("int"))
+        clid = manager.model.phrep_of(ids["tid4"])
+        with pytest.raises(GomTypeError):
+            self.cure(manager, "add_slot", ids["tid4"], "doors", "four",
+                      session=session)
+        # Refused before any Slot fact or step was registered.
+        assert not list(manager.model.db.matching(
+            Atom("Slot", (clid, "doors", None))))
+        assert manager.migrations.version_of(ids["tid4"]) == 0
+        assert "doors" not in objects["Car"].slots
+        session.rollback()
+
+    def test_callable_value_outside_the_domain_is_not_stored(self, world):
+        manager, result, objects = world
+        ids = car_schema_ids(result)
+        session = manager.begin_session()
+        manager.analyzer.primitives(session).add_attribute(
+            ids["tid4"], "doors", builtin_type("int"))
+        with pytest.raises(GomTypeError):
+            self.cure(manager, "add_slot", ids["tid4"], "doors",
+                      lambda car: "four", session=session)
+        assert "doors" not in objects["Car"].slots
         session.rollback()
 
 
 class TestDeleteSlot:
+    cure = staticmethod(eager)
+
     def test_delete_slot_and_values(self, world):
         manager, result, objects = world
         ids = car_schema_ids(result)
         session = manager.begin_session()
         prims = manager.analyzer.primitives(session)
         prims.delete_attribute(ids["tid4"], "maxspeed")
-        removed = manager.conversions.delete_slot(ids["tid4"], "maxspeed",
-                                                  session=session)
+        removed = self.cure(manager, "delete_slot", ids["tid4"], "maxspeed",
+                            session=session)
         assert removed == 1
         session.commit()
         assert "maxspeed" not in objects["Car"].slots
@@ -109,7 +189,35 @@ class TestDeleteSlot:
         manager, result, objects = world
         ids = car_schema_ids(result)
         ghost = manager.model.ids.type()
-        assert manager.conversions.delete_slot(ghost, "x") == 0
+        assert self.cure(manager, "delete_slot", ghost, "x") == 0
+
+    def test_supertype_cure_covers_the_instantiated_subtype(self, world):
+        manager, result, objects = world
+        ids = car_schema_ids(result)
+        session = manager.begin_session()
+        manager.analyzer.primitives(session).add_attribute(
+            ids["tid2"], "region", STRING)
+        self.cure(manager, "add_slot", ids["tid2"], "region", "south",
+                  session=session)
+        session.commit()
+        session = manager.begin_session()
+        manager.analyzer.primitives(session).delete_attribute(
+            ids["tid2"], "region")
+        removed = self.cure(manager, "delete_slot", ids["tid2"], "region",
+                            session=session)
+        assert removed == 2
+        assert slot_violations(manager) == []
+        session.commit()
+        assert "region" not in objects["Location"].slots
+        assert "region" not in objects["City"].slots
+
+
+class TestAddSlotLazy(TestAddSlot):
+    cure = staticmethod(lazy)
+
+
+class TestDeleteSlotLazy(TestDeleteSlot):
+    cure = staticmethod(lazy)
 
 
 class TestBruteForceCure:
