@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
+    MissingRepairInputError,
     SessionAlreadyActiveError,
     SessionClosedError,
     InconsistentSchemaError,
@@ -310,7 +311,8 @@ class EvolutionSession:
         additions: List[Atom] = []
         deletions: List[Atom] = []
         for action in repair.edb_actions:
-            fact = self._resolve_placeholders(action.fact, inputs or {})
+            fact = self._resolve_placeholders(
+                action.fact, inputs if inputs is not None else {})
             if action.is_insertion:
                 additions.append(fact)
             else:
@@ -324,7 +326,7 @@ class EvolutionSession:
         for arg in fact.args:
             if isinstance(arg, NewConstant):
                 if arg.hint not in inputs:
-                    raise InconsistentSchemaError([]) from ValueError(
+                    raise MissingRepairInputError(
                         f"repair needs a value for placeholder {arg!r}")
                 resolved.append(inputs[arg.hint])
             else:

@@ -204,11 +204,6 @@ class Constraint:
             if isinstance(element, Literal) and not element.positive:
                 yield element
 
-    def premise_comparisons(self) -> Iterator[Comparison]:
-        for element in self.premise:
-            if isinstance(element, Comparison):
-                yield element
-
     def predicates(self) -> Set[str]:
         """Every predicate the constraint mentions (premise + conclusion)."""
         result = {

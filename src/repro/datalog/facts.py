@@ -25,6 +25,7 @@ referential-integrity constraints "always have the same pattern".
 
 from __future__ import annotations
 
+import hashlib
 from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -526,3 +527,19 @@ class FactStore:
             relation.clear()
             for codes in snapshot.get(name, ()):
                 relation.add_codes(codes)
+
+
+def edb_digest(db) -> str:
+    """An order-independent content digest of a database's whole EDB.
+
+    Accepts anything with ``.edb.all_facts()`` — a live ``GomDatabase``
+    as well as a published snapshot's frozen database.  Nodes serve it,
+    and the stress and fuzz oracles compare it across processes and
+    manager variants, so it must depend only on fact *content*, never
+    on storage order.
+    """
+    hasher = hashlib.sha256()
+    for line in sorted(repr(fact) for fact in db.edb.all_facts()):
+        hasher.update(line.encode("utf-8"))
+        hasher.update(b"\n")
+    return hasher.hexdigest()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.datalog.engine import DeductiveDatabase
 from repro.datalog.plan import EngineStats
@@ -38,13 +38,6 @@ def render_extension(database: DeductiveDatabase, pred: str,
         if index > 0:
             row[0] = ""
     return render_rows(rows)
-
-
-def render_extensions(database: DeductiveDatabase,
-                      preds: Iterable[str]) -> str:
-    """Render several extensions, stacked, in the given predicate order."""
-    blocks = [render_extension(database, pred) for pred in preds]
-    return "\n".join(block for block in blocks if block != "(empty)")
 
 
 def render_stats(stats: EngineStats, slowest: int = 5) -> str:

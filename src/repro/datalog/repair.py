@@ -98,10 +98,6 @@ class Repair:
     kind: str  # "invalidate-premise" or "validate-conclusion"
     explanations: Tuple[str, ...] = ()
 
-    def with_explanations(self, explanations: Sequence[str]) -> "Repair":
-        return Repair(self.display_action, self.edb_actions, self.kind,
-                      tuple(explanations))
-
     def requires_user_input(self) -> bool:
         return any(action.requires_user_input() for action in self.edb_actions)
 

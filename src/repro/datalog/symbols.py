@@ -76,10 +76,6 @@ class SymbolTable:
                     self._codes[value] = code
         return code
 
-    def intern_row(self, row: Iterable[object]) -> Tuple[int, ...]:
-        """Intern every value of one row."""
-        return tuple(self.intern(value) for value in row)
-
     def code(self, value: object) -> int:
         """Soft lookup: the code for *value*, or :data:`MISSING`."""
         return self._codes.get(value, MISSING)
@@ -92,11 +88,6 @@ class SymbolTable:
     def value(self, code: int):
         """The value a code decodes to."""
         return self._values[code]
-
-    def decode_row(self, codes: Iterable[int]) -> Tuple[object, ...]:
-        """Decode one row of codes back to its values."""
-        values = self._values
-        return tuple(values[code] for code in codes)
 
     @property
     def values(self) -> List[object]:

@@ -187,8 +187,8 @@ class SessionError(ReproError):
     """Base class for evolution-session errors."""
 
 
-class NoActiveSessionError(SessionError):
-    """A modification was attempted outside BES/EES."""
+class MissingRepairInputError(SessionError):
+    """A repair was applied without a value for one of its placeholders."""
 
 
 class SessionAlreadyActiveError(SessionError):

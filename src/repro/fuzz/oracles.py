@@ -24,11 +24,11 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.datalog.facts import edb_digest
 from repro.errors import ReproError
 from repro.fuzz.history import History
 from repro.fuzz.replay import Replayer
 from repro.manager import SchemaManager
-from repro.service.stress import edb_digest
 from repro.storage.faults import CrashPoint
 
 #: Rounds of pick-one-repair-and-apply before the driver gives up and

@@ -159,9 +159,6 @@ class ScopeTracker:
     def decl_handles(self) -> List[str]:
         return sorted(self.decls)
 
-    def types_in_schema(self, schema: str) -> List[str]:
-        return sorted(self.schemas[schema].types)
-
     def ancestors(self, type_handle: str) -> Set[str]:
         """Transitive supertypes (symbolic SubTypRel_t)."""
         seen: Set[str] = set()
@@ -172,16 +169,6 @@ class ScopeTracker:
                 if sup not in seen:
                     seen.add(sup)
                     stack.append(sup)
-        return seen
-
-    def schema_ancestors(self, schema: str) -> Set[str]:
-        seen: Set[str] = set()
-        current = self.schemas.get(schema)
-        while current is not None and current.parent is not None:
-            if current.parent in seen:
-                break
-            seen.add(current.parent)
-            current = self.schemas.get(current.parent)
         return seen
 
     def inherited_attrs(self, type_handle: str) -> Dict[str, str]:
@@ -200,10 +187,6 @@ class ScopeTracker:
             if scope is not None:
                 handles |= scope.decls
         return sorted(handles)
-
-    def version_successors(self, type_handle: str) -> List[str]:
-        return sorted(new for old, new in self.type_versions
-                      if old == type_handle)
 
     def descendants(self, type_handle: str) -> Set[str]:
         """Transitive subtypes (inverse of :meth:`ancestors`)."""

@@ -33,12 +33,12 @@ from repro.analyzer.namespaces import (
     resolve_visible_type,
     visible_components,
 )
+from repro.datalog.facts import edb_digest
 from repro.errors import InconsistentSchemaError, ReproError
 from repro.gom.ids import Id
 from repro.gom.persistence import decode_value, encode_value
 from repro.manager import SchemaManager
 from repro.obs import Observability
-from repro.service.stress import snapshot_digest
 from repro.wire import (
     ProtocolError,
     WorkerDied,
@@ -119,7 +119,7 @@ def _read_count(snapshot, params):
 
 #: ``read`` ops: ``op -> (snapshot, params) -> JSON result``.
 READ_OPS: Dict[str, Callable] = {
-    "digest": lambda snapshot, params: snapshot_digest(snapshot),
+    "digest": lambda snapshot, params: edb_digest(snapshot.db),
     "epoch": lambda snapshot, params: snapshot.epoch,
     "count": _read_count,
     "schema_id": _read_schema_id,
@@ -329,7 +329,7 @@ class Node:
                  "schemas": {name: encode_value(sid)
                              for name, sid in result.schema_ids.items()}}
         if message.get("digest"):
-            reply["digest"] = snapshot_digest(snapshot)
+            reply["digest"] = edb_digest(snapshot.db)
         return reply
 
     def _handle_checkpoint(self, message) -> Dict[str, object]:

@@ -20,7 +20,10 @@ Client surface::
         # never older than the define just acknowledged (epoch token).
 
 See ``DESIGN.md`` §15 for the protocol, the promotion rules, and the
-token semantics.
+token semantics.  The proof is the one epoch-digest harness,
+:func:`repro.service.stress.run_stress` with ``replicas=N``: rolled-back
+sessions shipped to replicas, consistency checks on replicas, and a
+forced promotion, under the same verdict as the in-process run.
 """
 
 from repro.replication.client import (

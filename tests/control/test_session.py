@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.errors import InconsistentSchemaError, SessionClosedError
+from repro.errors import (
+    InconsistentSchemaError,
+    MissingRepairInputError,
+    SessionClosedError,
+)
 from repro.datalog.repair import NewConstant, Repair, RepairAction
 from repro.datalog.terms import Atom
+from repro.fuzz.oracles import CannedInputs
 from repro.gom.builtins import builtin_type
 from repro.manager import SchemaManager
 
@@ -127,6 +132,13 @@ class TestCommitAndRollback:
             session.check()
 
 
+def _placeholder_repair(tid):
+    """A repair adding attribute ``n`` whose domain is placeholder ``D``."""
+    action = RepairAction("+", Atom("Attr", (tid, "n", NewConstant("D"))))
+    return Repair(display_action=action, edb_actions=(action,),
+                  kind="validate-conclusion")
+
+
 class TestRepairsThroughSession:
     def test_repairs_carry_explanations(self, manager, tid):
         session = manager.begin_session()
@@ -140,26 +152,21 @@ class TestRepairsThroughSession:
 
     def test_apply_repair_resolves_placeholders(self, manager, tid):
         session = manager.begin_session()
-        repair = Repair(
-            display_action=RepairAction("+", Atom("Attr",
-                                                  (tid, "n",
-                                                   NewConstant("D")))),
-            edb_actions=(RepairAction("+", Atom("Attr",
-                                                (tid, "n",
-                                                 NewConstant("D")))),),
-            kind="validate-conclusion")
+        repair = _placeholder_repair(tid)
         session.apply_repair(repair, inputs={"D": INT})
         assert manager.model.db.contains(Atom("Attr", (tid, "n", INT)))
 
     def test_apply_repair_missing_input_raises(self, manager, tid):
         session = manager.begin_session()
-        repair = Repair(
-            display_action=RepairAction("+", Atom("Attr",
-                                                  (tid, "n",
-                                                   NewConstant("D")))),
-            edb_actions=(RepairAction("+", Atom("Attr",
-                                                (tid, "n",
-                                                 NewConstant("D")))),),
-            kind="validate-conclusion")
-        with pytest.raises(Exception):
+        repair = _placeholder_repair(tid)
+        with pytest.raises(MissingRepairInputError, match="<new:D>"):
             session.apply_repair(repair)
+
+    def test_apply_repair_keeps_an_empty_mapping_that_answers(self, manager,
+                                                              tid):
+        # CannedInputs is empty yet answers every placeholder; an empty
+        # mapping must not be swapped for "no inputs".
+        session = manager.begin_session()
+        repair = _placeholder_repair(tid)
+        session.apply_repair(repair, inputs=CannedInputs())
+        assert manager.model.db.contains(Atom("Attr", (tid, "n", "fuzz_D")))

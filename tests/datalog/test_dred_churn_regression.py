@@ -117,7 +117,7 @@ def test_define_and_retire_leaves_no_empty_provenance_keys():
 
 def test_rollback_leaves_no_residue():
     manager, tids = _chain_manager()
-    from repro.service.stress import edb_digest
+    from repro.datalog.facts import edb_digest
     before = edb_digest(manager.model.db)
     session = manager.begin_session()
     prims = manager.analyzer.primitives(session)

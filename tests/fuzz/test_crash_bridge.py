@@ -12,10 +12,10 @@ import os
 
 import pytest
 
+from repro.datalog.facts import edb_digest
 from repro.fuzz import History
 from repro.fuzz.oracles import SessionDriver
 from repro.manager import SchemaManager
-from repro.service.stress import edb_digest
 from repro.storage.faults import CRASH_POINTS, CrashPoint, FaultInjector
 
 CORPUS_FILE = os.path.join(os.path.dirname(__file__), "corpus",

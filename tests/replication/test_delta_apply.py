@@ -21,12 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analyzer.operators import delete_type_cascade
+from repro.datalog.facts import edb_digest
 from repro.datalog.terms import Atom
 from repro.errors import InconsistentSchemaError
 from repro.gom.persistence import decode_atom, encode_atom
 from repro.manager import SchemaManager
 from repro.replication.node import ReplicationNode
-from repro.service.stress import edb_digest
 from repro.storage.store import LOG_NAME, replay_session
 from repro.storage.wal import WalRecord, decode_record, group_operations
 

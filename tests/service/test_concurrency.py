@@ -17,7 +17,7 @@ from repro.datalog.terms import Atom, Literal, Variable
 from repro.errors import SessionAlreadyActiveError
 from repro.gom.builtins import builtin_type
 from repro.manager import SchemaManager
-from repro.service.stress import run_stress
+from repro.service.stress import StressOutcome, run_stress
 
 SOURCE = """
 schema S is
@@ -41,7 +41,7 @@ def tight_switch_interval():
 
 class TestStressLinearizability:
     def test_readers_see_only_published_snapshots(self):
-        outcome = run_stress(n_readers=4, n_sessions=100, n_types=10,
+        outcome = run_stress(sessions=100, readers=4, n_types=10,
                              rollback_every=5, check_every=7)
         assert outcome.writer_error is None
         assert outcome.reader_errors == []
@@ -55,13 +55,56 @@ class TestStressLinearizability:
         # Every full consistency check a reader ran passed.
         assert outcome.checks_run > 0
         assert outcome.check_failures == 0
+        # The live model ends on the last published state.
+        assert outcome.converged()
         assert outcome.linearizable
 
     def test_oracle_covers_every_commit(self):
-        outcome = run_stress(n_readers=2, n_sessions=30, n_types=8,
+        outcome = run_stress(sessions=30, readers=2, n_types=8,
                              rollback_every=3)
         # initial snapshot + one publication per commit, nothing else
         assert len(outcome.published) == outcome.commits + 1
+
+
+def _outcome():
+    """A clean run: two reader streams over three published epochs."""
+    return StressOutcome(
+        sessions=2, commits=2, rollbacks=0,
+        published={0: "d0", 1: "d1", 2: "d2"},
+        observations=[[(0, "d0"), (1, "d1")], [(1, "d1"), (2, "d2")]],
+        survivors={"primary": {"epoch": 2, "digest": "d2"}})
+
+
+def _fail_over_to_epoch_1(outcome):
+    # The failover lost epoch 2: no reader saw it, the survivor ends
+    # on epoch 1, and the oracle forgets only what lies above it.
+    outcome.observations[1].pop()
+    outcome.survivors["primary"] = {"epoch": 1, "digest": "d1"}
+    assert outcome.truncate_oracle(1) == 1
+    assert outcome.published == {0: "d0", 1: "d1"}
+
+
+class TestStressVerdicts:
+    @pytest.mark.parametrize("mutate, linearizable", [
+        (lambda outcome: None, True),
+        (lambda outcome: outcome.observations[0].append((2, "d1")), False),
+        (lambda outcome: outcome.observations[1].append((1, "d1")), False),
+        (lambda outcome: outcome.observations.insert(0, [(2, "d2")]), True),
+        (lambda outcome: setattr(outcome, "check_failures", 1), False),
+        (lambda outcome: outcome.survivors.update(
+            replica={"epoch": 2, "digest": "d1"}), False),
+        (lambda outcome: outcome.survivors.update(
+            replica={"epoch": 1, "digest": "d1"}), False),
+        (lambda outcome: outcome.survivors.clear(), False),
+        (_fail_over_to_epoch_1, True),
+    ], ids=["clean", "torn-pair", "epoch-back-in-one-stream",
+            "epochs-interleave-across-streams", "failed-check",
+            "survivor-off-final-digest", "survivor-behind-final-epoch",
+            "no-survivor", "truncation-drops-only-epochs-above-bound"])
+    def test_each_verdict_flips_linearizable(self, mutate, linearizable):
+        outcome = _outcome()
+        mutate(outcome)
+        assert outcome.linearizable is linearizable
 
 
 class TestPinnedReadersUnderCopyOnWrite:

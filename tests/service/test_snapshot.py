@@ -5,12 +5,12 @@ import weakref
 
 import pytest
 
+from repro.datalog.facts import edb_digest
 from repro.datalog.terms import Atom
 from repro.errors import ReadOnlySnapshotError, SessionError
 from repro.gom.builtins import builtin_type
 from repro.manager import SchemaManager
 from repro.service.service import ReadSession
-from repro.service.stress import snapshot_digest
 
 SOURCE = """
 schema S is
@@ -110,13 +110,13 @@ class TestIsolation:
         manager.model.enable_snapshots()
         tid = manager.model.type_id("T")
         pinned = manager.model.snapshot()
-        digest = snapshot_digest(pinned)
+        digest = edb_digest(pinned.db)
         for index in range(5):
             session = manager.begin_session()
             _add_attribute(manager, session, tid, f"extra_{index}")
             session.commit()
         # The old image is byte-identical: COW never mutated it.
-        assert snapshot_digest(pinned) == digest
+        assert edb_digest(pinned.db) == digest
         assert pinned.epoch == FIXTURE_COMMITS
         assert "extra_0" not in dict(pinned.attributes(tid))
         assert "extra_4" in dict(manager.model.snapshot().attributes(tid))
@@ -198,8 +198,8 @@ class TestReadOnly:
 
     def test_failed_mutation_changes_nothing(self, manager):
         snapshot = manager.snapshot()
-        digest = snapshot_digest(snapshot)
+        digest = edb_digest(snapshot.db)
         with pytest.raises(ReadOnlySnapshotError):
             snapshot.db.add_fact(
                 Atom("Schema", (manager.model.ids.schema(), "Evil")))
-        assert snapshot_digest(snapshot) == digest
+        assert edb_digest(snapshot.db) == digest
