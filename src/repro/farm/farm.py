@@ -10,7 +10,8 @@ import staleness compares a recorded ``(home shard, home epoch)``
 against it.  Requests to one shard serialize on its client's lock; a
 thread pool overlaps requests *across* shards, which is the point —
 committed-writer throughput scales with the shard count
-(``benchmarks/bench_c2_farm.py`` measures it).
+(``benchmarks/test_floors.py::test_c2_shard_speedup`` holds it to
+4x from 1 to 8 shards).
 """
 
 from __future__ import annotations

@@ -60,11 +60,6 @@ def decode_value(value: object) -> object:
     return value
 
 
-# Backwards-compatible private aliases (pre-WAL callers).
-_encode_value = encode_value
-_decode_value = decode_value
-
-
 def encode_atom(fact: Atom) -> List[object]:
     """Encode one ground fact as ``[pred, [args…]]`` (WAL record form)."""
     return [fact.pred, [encode_value(cell) for cell in fact.args]]

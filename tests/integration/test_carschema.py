@@ -89,10 +89,14 @@ class TestCodeRequirements:
         """record_dynamic_calls=False reproduces the table verbatim."""
         manager = SchemaManager(record_dynamic_calls=False)
         result = define_car_schema(manager)
-        paper = resolve_code_placeholders(
-            result, expected_figure2_extensions(result)["CodeReqDecl"])
+        expected = expected_figure2_extensions(result)
+        paper = resolve_code_placeholders(result, expected["CodeReqDecl"])
         assert {f.args for f in manager.model.db.facts("CodeReqDecl")} \
             == paper
+        assert actual(manager, "CodeReqAttr") == resolve_code_placeholders(
+            result, expected["CodeReqAttr"])
+        for pred in ("SubTypRel", "DeclRefinement"):
+            assert actual(manager, pred) == expected[pred]
 
 
 class TestObjectBaseTable:

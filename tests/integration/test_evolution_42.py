@@ -99,6 +99,7 @@ class TestCarPartition:
         assert model.is_subtype(polluter, base)
         assert model.is_subtype(catalyst, base)
         assert model.schema_of_type(base) == created["NewCarSchema"]
+        assert model.schema_of_type(polluter) == created["NewCarSchema"]
         # step 2: PolluterCar is the evolution of the old Car
         old_car = result.type("CarSchema", "Car")
         assert model.db.contains(Atom("evolves_to_T", (old_car, polluter)))

@@ -13,7 +13,7 @@ class TestRunner:
         collected = []
         reports = run_experiments(echo=collected.append)
         assert len(reports) == len(EXPERIMENTS)
-        for name, text in zip(sorted(EXPERIMENTS), reports):
+        for name, text in zip(EXPERIMENTS, reports):
             assert text.lower().startswith(name.split("e")[0] + "e") or \
                 name.upper() in text
 
@@ -54,3 +54,16 @@ class TestReportContents:
         text = run_experiments(["e8"], echo=lambda t: None)[0]
         assert "leaded" in text
         assert "consistency: True" in text
+
+    def test_e9_detects_every_kind_with_repairs(self):
+        text = run_experiments(["e9"], echo=lambda t: None)[0]
+        assert text.count("detected: yes") == 5
+        assert " 0 repair(s)" not in text
+
+    def test_e11_cures_store_what_they_promise(self):
+        text = run_experiments(["e11"], echo=lambda t: None)[0]
+        conversion, masking, lazy = text.splitlines()[2:]
+        assert "stored at cure 300/300" in conversion
+        assert "stored at cure   0/300" in masking
+        assert "stored at cure   0/300" in lazy
+        assert text.count("leaded 300/300") == 3

@@ -68,8 +68,10 @@ class TestSeededViolations:
         schema = generate_schema(manager, 12, seed=11)
         session = manager.begin_session()
         seeded_violation(schema, session, random.Random(2), kind)
-        names = {v.constraint.name for v in session.check().violations}
-        assert expected in names
+        violations = session.check().violations
+        assert expected in {v.constraint.name for v in violations}
+        # Never a bare yes/no (§2.1): some violation comes with repairs.
+        assert any(session.repairs(v) for v in violations[:3])
         session.rollback()
 
     def test_unknown_kind_rejected(self):
