@@ -21,11 +21,12 @@ exactly the violations present afterwards.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.errors import PlanningError
-from repro.datalog.builtins import Comparison, compare_values
+from repro.datalog.builtins import compare_values
 from repro.datalog.constraints import (
     Conclusion,
     Constraint,
@@ -34,7 +35,7 @@ from repro.datalog.constraints import (
     FalseConclusion,
 )
 from repro.datalog.engine import DeductiveDatabase
-from repro.datalog.plan import _resolve_bound_vars
+from repro.datalog.plan import JoinPlan
 from repro.datalog.terms import Atom, Literal, Substitution, Variable, match, unify
 
 @dataclass(frozen=True)
@@ -151,67 +152,80 @@ class ConsistencyChecker:
               ) -> CheckReport:
         """Full check: enumerate every premise instantiation."""
         start = time.perf_counter()
-        stats = self.database.stats
         targets = list(constraints) if constraints is not None \
             else list(self._constraints)
+        return self._report("full", start, targets, self._check_constraint,
+                            constraints=len(targets))
+
+    def _report(self, mode: str, start: float,
+                targets: Sequence[Constraint],
+                violations_of: Callable[[Constraint], Iterable[Violation]],
+                **span_attrs: object) -> CheckReport:
+        """Run *violations_of* per constraint into one :class:`CheckReport`.
+
+        Each constraint's violations are deduplicated and sorted by a
+        canonical key, so the report's order depends on neither set
+        iteration nor the interpreter's hash seed: the protocol repairs
+        ``violations[0]`` and logs it, and two runs must log the same.
+        """
+        stats = self.database.stats
         stats.checks_run += 1
         violations: List[Violation] = []
-        seen: Set[Tuple] = set()
         tracer = self.database.obs.tracer
-        with tracer.span("check.full", constraints=len(targets)) as span:
+        with tracer.span(f"check.{mode}", **span_attrs) as span:
             for constraint in targets:
                 constraint_start = time.perf_counter()
                 with tracer.span("check.constraint",
                                  constraint=constraint.name) as cspan:
-                    found = 0
-                    for violation in self._check_constraint(constraint):
-                        key = _violation_key(constraint,
-                                             violation.substitution)
-                        if key not in seen:
-                            seen.add(key)
-                            violations.append(violation)
-                            found += 1
-                    cspan.set("violations", found)
+                    found: Dict[str, Violation] = {}
+                    for violation in violations_of(constraint):
+                        found.setdefault(repr(_violation_key(
+                            constraint, violation.substitution)), violation)
+                    violations.extend(found[key] for key in sorted(found))
+                    cspan.set("violations", len(found))
                 stats.record_constraint(
                     constraint.name, time.perf_counter() - constraint_start)
             span.set("violations", len(violations))
         stats.constraints_checked += len(targets)
         stats.violations_found += len(violations)
-        elapsed = time.perf_counter() - start
         return CheckReport(violations=violations,
                            constraints_checked=len(targets),
-                           elapsed_seconds=elapsed, mode="full")
+                           elapsed_seconds=time.perf_counter() - start,
+                           mode=mode)
 
     def _check_constraint(self, constraint: Constraint,
-                          seed: Optional[Substitution] = None
+                          seed: Optional[Substitution] = None,
+                          plan: Optional[JoinPlan] = None
                           ) -> Iterable[Violation]:
+        """Violations of *constraint* among the premise rows *seed*
+        extends; *plan* must be the premise planned with exactly the
+        seed's variables bound (looked up here when not given)."""
+        if plan is None:
+            plan = self.database.planner.plan_for(constraint.premise, seed)
         if self.database.executor == "compiled":
-            return self._check_constraint_compiled(constraint, seed)
+            return self._check_constraint_compiled(constraint, seed, plan)
         return [self._make_violation(constraint, theta)
-                for theta in self.database.query(constraint.premise, seed)
+                for theta in plan.substitutions(self.database, seed)
                 if not self._conclusion_holds(constraint.conclusion, theta)]
 
     def _check_constraint_compiled(self, constraint: Constraint,
-                                   seed: Optional[Substitution]
-                                   ) -> List[Violation]:
+                                   seed: Optional[Substitution],
+                                   plan: JoinPlan) -> List[Violation]:
         """One constraint through the compiled executor, code-level.
 
         The premise closure yields raw register tuples; the conclusion
         is tested per tuple without ever materializing a substitution —
         ``=`` / ``!=`` compare codes, ordering decodes through the
         shared symbol table, and existence disjuncts probe with
-        pre-mapped registers and ``limit=1``.  The per-probe planner
-        lookup and binding resolution of the generic path (the dominant
-        cost of a full check) are hoisted out of the row loop entirely.
-        A substitution is decoded only for the rows that violate.
+        pre-mapped registers and ``limit=1``.  The premise *plan* comes
+        from the caller (one per seed literal in a delta check), and the
+        disjunct plans are hoisted out of the row loop entirely.  A
+        substitution is decoded only for the rows that violate.
         """
         from repro.datalog.compiled import compiled_for, run_codes
 
         database = self.database
         stats = database.stats
-        premise = constraint.premise
-        plan = database.planner.plan(
-            premise, _resolve_bound_vars(seed, premise))
         compiled, rows = run_codes(plan, database, seed)
         if not rows:
             return []
@@ -377,41 +391,11 @@ class ConsistencyChecker:
         self._extend_with_derived_deltas(may_grow, may_shrink,
                                          added_facts, deleted_facts,
                                          derived_delta)
-
-        stats = self.database.stats
-        stats.checks_run += 1
-        violations: List[Violation] = []
-        seen: Set[Tuple] = set()
-        checked = 0
-        tracer = self.database.obs.tracer
-        with tracer.span("check.delta",
-                         base_plus=len(additions),
-                         base_minus=len(deletions)) as span:
-            for constraint in self._constraints:
-                constraint_start = time.perf_counter()
-                with tracer.span("check.constraint",
-                                 constraint=constraint.name) as cspan:
-                    found = 0
-                    relevant = self._seeded_checks(constraint, may_grow,
-                                                   may_shrink, added_facts,
-                                                   deleted_facts)
-                    for violation in relevant:
-                        key = _violation_key(constraint,
-                                             violation.substitution)
-                        if key not in seen:
-                            seen.add(key)
-                            violations.append(violation)
-                            found += 1
-                    cspan.set("violations", found)
-                stats.record_constraint(
-                    constraint.name, time.perf_counter() - constraint_start)
-                checked += 1
-            span.set("violations", len(violations))
-        stats.constraints_checked += checked
-        stats.violations_found += len(violations)
-        elapsed = time.perf_counter() - start
-        return CheckReport(violations=violations, constraints_checked=checked,
-                           elapsed_seconds=elapsed, mode="delta")
+        return self._report(
+            "delta", start, self._constraints,
+            lambda constraint: self._seeded_checks(
+                constraint, added_facts, deleted_facts),
+            base_plus=len(additions), base_minus=len(deletions))
 
     def _polarity_closure(self, base_added: Set[str], base_deleted: Set[str]
                           ) -> Tuple[Set[str], Set[str]]:
@@ -488,59 +472,53 @@ class ConsistencyChecker:
         if fallbacks:
             self.database.stats.delta_fallbacks += fallbacks
 
-    def _seeded_checks(self, constraint: Constraint, may_grow: Set[str],
-                       may_shrink: Set[str],
+    def _seeded_checks(self, constraint: Constraint,
                        added_facts: Dict[str, List[Atom]],
                        deleted_facts: Dict[str, List[Atom]]
                        ) -> Iterator[Violation]:
-        """Yield violations of *constraint* creatable by the delta."""
-        needs_full = False
-        for pred in constraint.predicates():
-            if f"{pred}!full" in deleted_facts:
-                needs_full = True
-        if needs_full:
+        """Yield violations of *constraint* creatable by the delta.
+
+        The premise is planned once per seed literal, bound on the
+        variables every fact of that literal grounds, and the plan is
+        shared by all of the literal's seed facts.
+        """
+        if any(f"{pred}!full" in deleted_facts
+               for pred in constraint.predicates()):
             yield from self._check_constraint(constraint)
             return
-
-        emitted: Set[Tuple] = set()
-
-        def emit(violation: Violation) -> Iterator[Violation]:
-            key = _violation_key(constraint, violation.substitution)
-            if key not in emitted:
-                emitted.add(key)
-                yield violation
-
-        # 1. New premise matches through grown positive literals.
-        for literal in constraint.positive_premise_literals():
-            for fact in added_facts.get(literal.pred, ()):
+        premise = constraint.premise
+        planner = self.database.planner
+        # 1. New premise matches through grown positive literals and
+        #    shrunk negated ones.
+        for literal in premise:
+            if not isinstance(literal, Literal):
+                continue
+            source = added_facts if literal.positive else deleted_facts
+            facts = source.get(literal.pred)
+            if not facts:
+                continue
+            plan = planner.plan(premise, literal.variables())
+            for fact in facts:
                 seed = match(literal.atom, fact)
-                if seed is None:
-                    continue
-                for violation in self._check_constraint(constraint, seed):
-                    yield from emit(violation)
-        # 2. New premise matches through shrunk negated literals.
-        for literal in constraint.negative_premise_literals():
-            for fact in deleted_facts.get(literal.pred, ()):
-                seed = match(literal.atom, fact)
-                if seed is None:
-                    continue
-                for violation in self._check_constraint(constraint, seed):
-                    yield from emit(violation)
-        # 3. Conclusion support removed: premise instantiations whose
+                if seed is not None:
+                    yield from self._check_constraint(constraint, seed, plan)
+        # 2. Conclusion support removed: premise instantiations whose
         #    existence conclusion may have used a deleted fact.
         if isinstance(constraint.conclusion, ExistenceConclusion):
             universal = constraint.universal_variables()
             for disjunct in constraint.conclusion.disjuncts:
                 for atom in disjunct.atoms:
-                    for fact in deleted_facts.get(atom.pred, ()):
+                    facts = deleted_facts.get(atom.pred)
+                    if not facts:
+                        continue
+                    plan = planner.plan(premise,
+                                        set(atom.variables()) & universal)
+                    for fact in facts:
                         seed_full = unify(atom, fact)
                         if seed_full is None:
                             continue
-                        seed = {
-                            var: value
-                            for var, value in seed_full.items()
-                            if var in universal
-                        }
-                        for violation in self._check_constraint(
-                                constraint, seed):
-                            yield from emit(violation)
+                        seed = {var: value
+                                for var, value in seed_full.items()
+                                if var in universal}
+                        yield from self._check_constraint(constraint, seed,
+                                                          plan)

@@ -440,24 +440,27 @@ class DeductiveDatabase:
                                       for p in preds))
                 self.obs.metrics.counter("engine.saturations").inc()
 
-    def _rule_derivations(self, rule: Rule, plan: JoinPlan,
-                          seed: Optional[Substitution] = None
-                          ) -> List[Tuple[Atom, Tuple[Atom, ...],
-                                          Tuple[Atom, ...]]]:
-        """``(head fact, positive supports, negative supports)`` triples
-        for one rule body plan, buffered.
+    def _derive(self, rule: Rule, plan: JoinPlan,
+                seed: Optional[Substitution], new: Set[Atom]) -> None:
+        """Record every derivation of *rule* through *plan* under *seed*;
+        head facts that were not in the store join *new*.
 
-        Buffering matters: every caller records derivations into the
-        stores the evaluation reads.  The compiled executor decodes the
-        head atom straight from the final join registers — no
-        substitution dict per derivation; the interpreted reference
-        substitutes into the head.
+        The derivations are buffered before any is recorded, because
+        recording writes to the stores the evaluation reads.  The
+        compiled executor decodes the head atom straight from the final
+        join registers — no substitution dict per derivation; the
+        interpreted reference substitutes into the head.
         """
         if self.executor == "compiled":
             from repro.datalog.compiled import run_rule_derivations
-            return run_rule_derivations(plan, self, rule.head, seed)
-        return [(rule.head.substitute(theta), pos, neg)
-                for theta, pos, neg in plan.derivations(self, seed)]
+            found = run_rule_derivations(plan, self, rule.head, seed)
+        else:
+            found = [(rule.head.substitute(theta), pos, neg)
+                     for theta, pos, neg in plan.derivations(self, seed)]
+        for fact, pos, neg in found:
+            if (self.provenance.record(Derivation(fact, rule.name, pos, neg))
+                    and self._derived_store.add(fact)):
+                new.add(fact)
 
     def _saturate(self, rules: Sequence[Rule]) -> None:
         """Iterate *rules* to a derivation fixpoint (complete provenance).
@@ -472,65 +475,46 @@ class DeductiveDatabase:
         with the seed literal's variables pre-bound, so every other body
         literal joins through the indexes.
         """
-        stratum_preds = {rule.head.pred for rule in rules}
         delta: Set[Atom] = set()
         for rule in rules:
-            plan = self.planner.plan(rule.body)
-            for fact, pos, neg in self._rule_derivations(rule, plan):
-                derivation = Derivation(
-                    fact=fact,
-                    rule_name=rule.name,
-                    positive_supports=pos,
-                    negative_supports=neg,
-                )
-                if self.provenance.record(derivation):
-                    if self._derived_store.add(derivation.fact):
-                        delta.add(derivation.fact)
-        self._delta_rounds(rules, stratum_preds, delta)
+            self._derive(rule, self.planner.plan(rule.body), None, delta)
+        self._delta_rounds(rules, delta)
 
-    def _delta_rounds(self, rules: Sequence[Rule], stratum_preds: Set[str],
+    def _delta_rounds(self, rules: Sequence[Rule],
                       delta: Set[Atom]) -> Tuple[Set[Atom], int]:
         """Semi-naive delta rounds: propagate *delta* to the fixpoint.
 
         Each round evaluates only rule instantiations seeded by a fact
-        derived in the previous round, through plans with the seed
-        literal's variables pre-bound.  Returns every fact newly added
-        across the rounds and the number of rounds run.  Shared between
-        full saturation (where *delta* is the first round's harvest) and
-        insertion maintenance (where it is the seeded delta itself).
+        derived in the previous round, through one plan per (rule, body
+        literal) with the literal's variables pre-bound.  Every delta
+        fact is the head of one of *rules*, so only literals over those
+        heads are seeded.  Returns every fact newly added across the
+        rounds and the number of rounds run.  Shared between full
+        saturation (where *delta* is the first round's harvest) and
+        maintenance (where it is the re-derived and seeded facts).
         """
         all_added: Set[Atom] = set()
         rounds = 0
         while delta:
             rounds += 1
+            by_pred: Dict[str, List[Atom]] = {}
+            for fact in delta:
+                by_pred.setdefault(fact.pred, []).append(fact)
             new_delta: Set[Atom] = set()
             for rule in rules:
                 for element in rule.body:
                     if not (isinstance(element, Literal)
                             and element.positive):
                         continue
-                    if element.pred not in stratum_preds:
+                    facts = by_pred.get(element.pred)
+                    if not facts:
                         continue
-                    seed_vars = frozenset(element.variables())
-                    for fact in delta:
-                        if fact.pred != element.pred:
-                            continue
+                    plan = self.planner.plan(rule.body,
+                                             frozenset(element.variables()))
+                    for fact in facts:
                         seed = match(element.atom, fact)
-                        if seed is None:
-                            continue
-                        plan = self.planner.plan(rule.body, seed_vars)
-                        for fact, pos, neg in self._rule_derivations(
-                                rule, plan, seed):
-                            derivation = Derivation(
-                                fact=fact,
-                                rule_name=rule.name,
-                                positive_supports=pos,
-                                negative_supports=neg,
-                            )
-                            if self.provenance.record(derivation):
-                                if self._derived_store.add(
-                                        derivation.fact):
-                                    new_delta.add(derivation.fact)
+                        if seed is not None:
+                            self._derive(rule, plan, seed, new_delta)
             all_added |= new_delta
             delta = new_delta
         return all_added, rounds
@@ -544,15 +528,15 @@ class DeductiveDatabase:
         Per stratum, in order: (A) over-delete — every fact with a
         derivation through a deleted support, or blocked by an added
         negative support, is dropped, transitively within the stratum
-        (DRed's pessimistic phase); (B) re-derive — each over-deleted
-        fact is re-proved head-first against the surviving extension,
-        iterated so chains among re-derived facts settle and provenance
-        stays complete; (C) insert — semi-naive rounds seeded both by
-        added facts in positive body positions and by deleted facts in
-        negated positions (a removal can *enable* derivations through
-        negation at a stratum boundary).  The stratum's net change then
-        joins the delta seen by the strata above, and the session's
-        grown/shrunk accounting.
+        (DRed's pessimistic phase); (B) re-derive — one head-first pass
+        re-proves each over-deleted fact against the surviving
+        extension; (C) insert — semi-naive rounds seeded by the facts
+        (B) brought back, by added facts in positive body positions and
+        by deleted facts in negated positions (a removal can *enable*
+        derivations through negation at a stratum boundary); the rounds
+        settle chains among re-derived facts and keep provenance
+        complete.  The stratum's net change then joins the delta seen by
+        the strata above, and the session's grown/shrunk accounting.
 
         Precondition (checked by :meth:`_propagate`): every predicate in
         *affected* is fresh, hence so is everything it depends on.
@@ -573,22 +557,18 @@ class DeductiveDatabase:
                     continue
                 rules = self.program.rules_defining(sorted(todo))
                 deleted = self._overdelete(todo, delta_plus, delta_minus)
+                inserted = self._insert_seeded(
+                    rules, delta_plus, delta_minus,
+                    self._rederive(rules, deleted))
+                # Net the stratum: an over-deleted fact that is back kept
+                # its truth value; a fact inserted fresh grew; a deletion
+                # that stuck shrank.
+                back = deleted & inserted
                 stats.maint_deleted += len(deleted)
-                rederived = (self._rederive(rules, deleted)
-                             if deleted else set())
-                stats.maint_rederived += len(rederived)
-                inserted = self._insert_seeded(rules, todo, delta_plus,
-                                               delta_minus)
-                # Net the stratum: a fact both over-deleted (and not
-                # re-derived) and re-inserted kept its truth value; a fact
-                # inserted fresh grew; a deletion that stuck shrank.
-                for fact in deleted:
-                    if fact in rederived or fact in inserted:
-                        continue
+                stats.maint_rederived += len(back)
+                for fact in deleted - back:
                     delta_minus.setdefault(fact.pred, set()).add(fact)
-                for fact in inserted:
-                    if fact in deleted:
-                        continue
+                for fact in inserted - back:
                     delta_plus.setdefault(fact.pred, set()).add(fact)
             for pred, facts in delta_plus.items():
                 if facts and self.is_derived(pred):
@@ -644,56 +624,49 @@ class DeductiveDatabase:
 
     def _rederive(self, rules: Sequence[Rule],
                   deleted: Set[Atom]) -> Set[Atom]:
-        """DRed phase B: re-prove over-deleted facts against the survivors.
+        """DRed phase B: one head-first pass over the over-deleted facts.
 
-        Each candidate is evaluated head-first: the rule head is matched
-        against the fact, and the body plan runs with every head variable
-        pre-bound, so only derivations of exactly that fact are
-        enumerated.  Iterated to a fixpoint because a fact re-derived in
-        a later round can complete derivations (and provenance entries)
-        for facts handled earlier.
+        Each rule body is planned once with every head variable
+        pre-bound; each over-deleted fact of its head predicate is
+        matched against the head and re-proved against the current
+        extension, so only derivations of exactly that fact are
+        enumerated.  A fact provable only through another over-deleted
+        fact that the pass reaches later is missed here; the facts this
+        pass brings back seed :meth:`_insert_seeded`'s semi-naive rounds,
+        which settle such chains and record every derivation through a
+        re-derived fact.
         """
-        rules_by_head: Dict[str, List[Rule]] = {}
-        for rule in rules:
-            rules_by_head.setdefault(rule.head.pred, []).append(rule)
+        by_pred: Dict[str, List[Atom]] = {}
+        for fact in deleted:
+            by_pred.setdefault(fact.pred, []).append(fact)
         rederived: Set[Atom] = set()
-        changed = True
-        while changed:
-            changed = False
-            for fact in deleted:
-                for rule in rules_by_head.get(fact.pred, ()):
-                    seed = match(rule.head, fact)
-                    if seed is None:
-                        continue
-                    plan = self.planner.plan(
-                        rule.body, frozenset(rule.head.variables()))
-                    for _fact, pos, neg in self._rule_derivations(
-                            rule, plan, seed):
-                        derivation = Derivation(
-                            fact=fact,
-                            rule_name=rule.name,
-                            positive_supports=pos,
-                            negative_supports=neg,
-                        )
-                        if self.provenance.record(derivation):
-                            changed = True
-                            if self._derived_store.add(fact):
-                                rederived.add(fact)
+        for rule in rules:
+            facts = by_pred.get(rule.head.pred)
+            if not facts:
+                continue
+            plan = self.planner.plan(rule.body,
+                                     frozenset(rule.head.variables()))
+            for fact in facts:
+                seed = match(rule.head, fact)
+                if seed is not None:
+                    self._derive(rule, plan, seed, rederived)
         return rederived
 
-    def _insert_seeded(self, rules: Sequence[Rule], todo: Set[str],
+    def _insert_seeded(self, rules: Sequence[Rule],
                        delta_plus: Dict[str, Set[Atom]],
-                       delta_minus: Dict[str, Set[Atom]]) -> Set[Atom]:
-        """Insertion maintenance: seed new derivations from the delta.
+                       delta_minus: Dict[str, Set[Atom]],
+                       rederived: Set[Atom]) -> Set[Atom]:
+        """DRed phase C: seed new derivations, then run the delta rounds.
 
         Seeds come from two directions: added facts matched against
         positive body literals, and deleted facts matched against negated
         literals (the atom's absence now satisfies the negation — the
-        stratum-boundary flip).  Facts derived here then drive the shared
-        semi-naive rounds for within-stratum recursion.
+        stratum-boundary flip).  The facts derived here and the
+        *rederived* ones then drive the shared semi-naive rounds for
+        within-stratum recursion.  Returns every fact added to the
+        store, *rederived* included.
         """
-        inserted: Set[Atom] = set()
-        seed_delta: Set[Atom] = set()
+        seed_delta: Set[Atom] = set(rederived)
         for rule in rules:
             for element in rule.body:
                 if not isinstance(element, Literal):
@@ -706,26 +679,11 @@ class DeductiveDatabase:
                 plan = self.planner.plan(rule.body, seed_vars)
                 for fact in facts:
                     seed = match(element.atom, fact)
-                    if seed is None:
-                        continue
-                    for head_fact, pos, neg in self._rule_derivations(
-                            rule, plan, seed):
-                        derivation = Derivation(
-                            fact=head_fact,
-                            rule_name=rule.name,
-                            positive_supports=pos,
-                            negative_supports=neg,
-                        )
-                        if self.provenance.record(derivation):
-                            if self._derived_store.add(derivation.fact):
-                                seed_delta.add(derivation.fact)
-        self.stats.maint_insert_rounds += 1
-        inserted |= seed_delta
-        if seed_delta:
-            added, rounds = self._delta_rounds(rules, todo, seed_delta)
-            inserted |= added
-            self.stats.maint_insert_rounds += rounds
-        return inserted
+                    if seed is not None:
+                        self._derive(rule, plan, seed, seed_delta)
+        added, rounds = self._delta_rounds(rules, seed_delta)
+        self.stats.maint_insert_rounds += 1 + rounds
+        return seed_delta | added
 
     # -- convenience ------------------------------------------------------------
 

@@ -88,8 +88,9 @@ class EngineStats:
     constraints_checked: int = 0
     violations_found: int = 0
     # Incremental view maintenance (engine maintenance="delta"): the
-    # semi-naive insert rounds run, facts over-deleted / re-derived by
-    # DRed, and total time spent propagating deltas in place.
+    # semi-naive insert rounds run, facts DRed over-deleted and those of
+    # them that end their stratum present again, and total time spent
+    # propagating deltas in place.
     maint_insert_rounds: int = 0
     maint_deleted: int = 0
     maint_rederived: int = 0

@@ -1,7 +1,12 @@
 """Unit tests for the nine-step evolution protocol (§3.5)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.datalog.terms import Atom
 from repro.gom.builtins import builtin_type
 from repro.manager import SchemaManager
@@ -133,3 +138,56 @@ class TestRepairRounds:
         result = manager.evolve(lambda session: None)
         text = result.describe()
         assert "protocol outcome" in text
+
+
+RING_SESSION = """
+import hashlib, sys
+from repro.manager import SchemaManager
+with SchemaManager.open(sys.argv[1]) as manager:
+    session = manager.begin_session()
+    prims = manager.analyzer.primitives(session)
+    sid = prims.add_schema("Ring")
+    tids, prev = [], None
+    for index in range(8):
+        prev = prims.add_type(sid, f"R{index}",
+                              supertypes=(prev,) if prev else ())
+        tids.append(prev)
+    session.commit()
+
+    def close_ring(session):
+        manager.analyzer.primitives(session).add_supertype(tids[0], tids[-1])
+
+    session = manager.begin_session()
+    close_ring(session)
+    print([repr(v) for v in session.check().violations])
+    session.rollback()
+    result = manager.evolve(close_ring)
+    print(result.outcome,
+          [c.repair.display_action for c in result.chosen_repairs])
+with open(f"{sys.argv[1]}/wal.log", "rb") as handle:
+    print(hashlib.sha256(handle.read()).hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    def test_violation_order_and_wal_bytes_do_not_depend_on_hash_seed(
+            self, tmp_path):
+        # Id(kind, number, label=None) hashes through hash(None), an
+        # address on Python 3.11, so set order differs per process even
+        # under one PYTHONHASHSEED; the protocol repairs violations[0]
+        # and logs it, so the report's order must not follow set order.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outputs = []
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            directory = tmp_path / f"seed{hash_seed}"
+            run = subprocess.run(
+                [sys.executable, "-c", RING_SESSION, str(directory)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        violations, outcome, _wal = outputs[0].splitlines()
+        assert "subtype_acyclic" in violations
+        assert outcome.startswith("repaired")
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]

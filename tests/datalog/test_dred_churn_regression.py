@@ -19,10 +19,14 @@ CHAIN = 16
 # Measured on the current engine (maint_deleted / maint_rederived):
 #   add cycle edge:  16 /   0     (linear: one over-delete per type)
 #   rollback:       273 / 120     (quadratic: closure churn)
+# and the work the rollback's DRed does for them (index_lookups /
+# plan() lookups, i.e. plan_cache_hits + plans_compiled): 1,825 / 152.
 ADD_DELETED_MAX = 24
 ADD_REDERIVED_MAX = 8
 ROLLBACK_DELETED_MAX = 410
 ROLLBACK_REDERIVED_MAX = 180
+ROLLBACK_INDEX_LOOKUPS_MAX = 2700
+ROLLBACK_PLAN_LOOKUPS_MAX = 230
 
 
 def _chain_manager():
@@ -64,6 +68,13 @@ def test_cycle_add_and_rollback_churn_stays_bounded():
     assert stats.maint_rederived <= ROLLBACK_REDERIVED_MAX, (
         f"cycle-rollback re-derivation churn regressed: "
         f"{stats.maint_rederived} > {ROLLBACK_REDERIVED_MAX}")
+    assert stats.index_lookups <= ROLLBACK_INDEX_LOOKUPS_MAX, (
+        f"cycle-rollback DRed index work regressed: "
+        f"{stats.index_lookups} > {ROLLBACK_INDEX_LOOKUPS_MAX}")
+    plan_lookups = stats.plan_cache_hits + stats.plans_compiled
+    assert plan_lookups <= ROLLBACK_PLAN_LOOKUPS_MAX, (
+        f"cycle-rollback plan lookups regressed: "
+        f"{plan_lookups} > {ROLLBACK_PLAN_LOOKUPS_MAX}")
 
 
 MODULE = """
