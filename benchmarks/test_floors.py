@@ -113,11 +113,11 @@ def _reads_per_second(manager, schema, readers, requests=400):
             session.commit()
             del schema.type_ids[frontier:]
 
-    def read(read_session):
+    def read(snapshot):
         for tid in type_ids[:6]:
-            read_session.type_name(tid)
-            read_session.attributes(tid, inherited=True)
-            read_session.supertypes(tid)
+            snapshot.type_name(tid)
+            snapshot.attributes(tid, inherited=True)
+            snapshot.supertypes(tid)
         time.sleep(0.001)
 
     service = manager.serve(readers=readers)

@@ -67,7 +67,90 @@ from repro.datalog.terms import Atom, Literal, Substitution, match
 from repro.obs import Observability, NOOP_OBS
 
 
-class DeductiveDatabase:
+class ReadableDatabase:
+    """The read API of a deductive database: one implementation shared
+    by the live :class:`DeductiveDatabase` and every
+    :class:`~repro.datalog.snapshot.SnapshotDatabase` it exports.
+
+    A subclass holds two :class:`FactStore` instances, ``edb`` and
+    ``_derived_store``, and a ``planner``, and supplies only
+    :meth:`_ensure_fresh`: how a derived predicate's extension becomes
+    current before it is read (the live engine saturates it if stale; a
+    snapshot's is frozen).  It raises
+    :class:`~repro.errors.UnknownPredicateError` for an undeclared name.
+    """
+
+    edb: FactStore
+    _derived_store: FactStore
+    planner: QueryPlanner
+
+    def _ensure_fresh(self, pred: str) -> None:
+        raise NotImplementedError
+
+    def is_derived(self, pred: str) -> bool:
+        return self._derived_store.is_declared(pred)
+
+    def is_base(self, pred: str) -> bool:
+        return self.edb.is_declared(pred)
+
+    def is_declared(self, pred: str) -> bool:
+        return self.is_base(pred) or self.is_derived(pred)
+
+    def decl(self, pred: str) -> PredicateDecl:
+        if self.edb.is_declared(pred):
+            return self.edb.decl(pred)
+        return self._derived_store.decl(pred)
+
+    def _store_for(self, pred: str) -> FactStore:
+        if self.edb.is_declared(pred):
+            return self.edb
+        self._ensure_fresh(pred)
+        return self._derived_store
+
+    def contains(self, fact: Atom) -> bool:
+        """Is *fact* true (base or derived)?"""
+        return self._store_for(fact.pred).contains(fact)
+
+    def facts(self, pred: str) -> Iterator[Atom]:
+        """Yield every true fact of *pred* (base or derived)."""
+        yield from self._store_for(pred).facts(pred)
+
+    def matching(self, pattern: Atom) -> Iterator[Atom]:
+        """Yield true facts matching *pattern* (base or derived)."""
+        yield from self._store_for(pattern.pred).matching(pattern)
+
+    def relation(self, pred: str) -> Relation:
+        """The indexed relation backing *pred*, fresh if derived.
+
+        The row-level access path of the plan executor: one attribute
+        chase instead of per-fact Atom construction.
+        """
+        return self._store_for(pred).relation(pred)
+
+    def count(self, pred: str) -> int:
+        return self._store_for(pred).count(pred)
+
+    def query(self, body: Sequence[BodyElement],
+              theta: Optional[Substitution] = None) -> Iterator[Substitution]:
+        """Yield substitutions (over the body's variables) satisfying *body*.
+
+        Evaluation is plan-driven: the body is compiled (or fetched from
+        the plan cache) with the bindings of *theta* taken as given,
+        then executed against the relation indexes.
+        """
+        body = tuple(body)
+        theta = dict(theta) if theta else {}
+        plan = self.planner.plan_for(body, theta)
+        yield from plan.substitutions(self, theta)
+
+    def holds(self, body: Sequence[BodyElement],
+              theta: Optional[Substitution] = None) -> bool:
+        """True when at least one substitution satisfies *body*."""
+        plan = self.planner.plan_for(tuple(body), theta)
+        return plan.probe(self, theta)
+
+
+class DeductiveDatabase(ReadableDatabase):
     """EDB + IDB + materialized derived facts with provenance."""
 
     def __init__(self, decls: Iterable[PredicateDecl] = (),
@@ -179,20 +262,6 @@ class DeductiveDatabase:
     def add_rules(self, rules: Iterable[Rule]) -> None:
         for rule in rules:
             self.add_rule(rule)
-
-    def is_derived(self, pred: str) -> bool:
-        return self._derived_store.is_declared(pred)
-
-    def is_base(self, pred: str) -> bool:
-        return self.edb.is_declared(pred)
-
-    def is_declared(self, pred: str) -> bool:
-        return self.is_base(pred) or self.is_derived(pred)
-
-    def decl(self, pred: str) -> PredicateDecl:
-        if self.edb.is_declared(pred):
-            return self.edb.decl(pred)
-        return self._derived_store.decl(pred)
 
     # -- EDB updates ----------------------------------------------------------
 
@@ -335,47 +404,7 @@ class DeductiveDatabase:
             else:
                 shrunk_set.add(fact)
 
-    # -- queries --------------------------------------------------------------
-
-    def contains(self, fact: Atom) -> bool:
-        """Is *fact* true (base or derived)?"""
-        if self.edb.is_declared(fact.pred):
-            return self.edb.contains(fact)
-        self._ensure_fresh(fact.pred)
-        return self._derived_store.contains(fact)
-
-    def facts(self, pred: str) -> Iterator[Atom]:
-        """Yield every true fact of *pred* (base or derived)."""
-        if self.edb.is_declared(pred):
-            yield from self.edb.facts(pred)
-            return
-        self._ensure_fresh(pred)
-        yield from self._derived_store.facts(pred)
-
-    def matching(self, pattern: Atom) -> Iterator[Atom]:
-        """Yield true facts matching *pattern* (base or derived)."""
-        if self.edb.is_declared(pattern.pred):
-            yield from self.edb.matching(pattern)
-            return
-        self._ensure_fresh(pattern.pred)
-        yield from self._derived_store.matching(pattern)
-
-    def relation(self, pred: str) -> Relation:
-        """The indexed relation backing *pred*, materialized if derived.
-
-        The row-level access path of the plan executor: one attribute
-        chase instead of per-fact Atom construction.
-        """
-        if self.edb.is_declared(pred):
-            return self.edb.relation(pred)
-        self._ensure_fresh(pred)
-        return self._derived_store.relation(pred)
-
-    def count(self, pred: str) -> int:
-        if self.edb.is_declared(pred):
-            return self.edb.count(pred)
-        self._ensure_fresh(pred)
-        return self._derived_store.count(pred)
+    # -- provenance -----------------------------------------------------------
 
     def derivations(self, fact: Atom):
         """All recorded derivations of a derived fact."""
@@ -684,24 +713,3 @@ class DeductiveDatabase:
         added, rounds = self._delta_rounds(rules, seed_delta)
         self.stats.maint_insert_rounds += 1 + rounds
         return seed_delta | added
-
-    # -- convenience ------------------------------------------------------------
-
-    def query(self, body: Sequence[BodyElement],
-              theta: Optional[Substitution] = None) -> Iterator[Substitution]:
-        """Yield substitutions (over the body's variables) satisfying *body*.
-
-        Evaluation is plan-driven: the body is compiled (or fetched from
-        the shared plan cache) with the bindings of *theta* taken as
-        given, then executed against the relation indexes.
-        """
-        body = tuple(body)
-        theta = dict(theta) if theta else {}
-        plan = self.planner.plan_for(body, theta)
-        yield from plan.substitutions(self, theta)
-
-    def holds(self, body: Sequence[BodyElement],
-              theta: Optional[Substitution] = None) -> bool:
-        """True when at least one substitution satisfies *body*."""
-        plan = self.planner.plan_for(tuple(body), theta)
-        return plan.probe(self, theta)

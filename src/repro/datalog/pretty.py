@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.datalog.engine import DeductiveDatabase
-from repro.datalog.plan import EngineStats
 from repro.datalog.terms import Atom
 
 
@@ -40,50 +39,3 @@ def render_extension(database: DeductiveDatabase, pred: str,
     return render_rows(rows)
 
 
-def render_stats(stats: EngineStats, slowest: int = 5) -> str:
-    """Render one session's engine statistics as an aligned table.
-
-    Same information as :meth:`EngineStats.describe`, but in the
-    two-column layout of the other renderers, with the *slowest*
-    most expensive constraints appended.
-    """
-    rows: List[List[object]] = [
-        ["elapsed", f"{stats.elapsed_seconds * 1000:.2f} ms"],
-        ["facts scanned", stats.facts_scanned],
-        ["index lookups", stats.index_lookups],
-        ["index intersections", stats.index_intersections],
-        ["join tuples", stats.join_tuples],
-        ["negation checks", stats.negation_checks],
-        ["comparisons", stats.comparisons_evaluated],
-        ["plans compiled", stats.plans_compiled],
-        ["plan cache hits",
-         f"{stats.plan_cache_hits} ({stats.plan_cache_hit_rate:.0%})"],
-        ["compiled closures", stats.compiled_plans],
-        ["intern hits", stats.intern_hits],
-        ["checks run", stats.checks_run],
-        ["constraints checked", stats.constraints_checked],
-        ["violations found", stats.violations_found],
-    ]
-    if stats.maint_insert_rounds or stats.maint_deleted:
-        rows.append(["maintenance rounds", stats.maint_insert_rounds])
-        rows.append(["maintenance deletes",
-                     f"{stats.maint_deleted} over-deleted, "
-                     f"{stats.maint_rederived} re-derived"])
-        rows.append(["maintenance time", f"{stats.maint_ms:.2f} ms"])
-    if stats.delta_fallbacks:
-        rows.append(["delta fallbacks", stats.delta_fallbacks])
-    if stats.cow_relations:
-        rows.append(["snapshot CoW",
-                     f"{stats.cow_relations} relations detached, "
-                     f"{stats.cow_buckets_copied} buckets copied"])
-    if stats.wal_records or stats.wal_fsyncs:
-        rows.append(["wal records",
-                     f"{stats.wal_records} ({stats.wal_bytes} bytes)"])
-        rows.append(["wal fsyncs", stats.wal_fsyncs])
-    if stats.replay_sessions or stats.replay_records:
-        rows.append(["replayed sessions", stats.replay_sessions])
-        rows.append(["replayed records", stats.replay_records])
-        rows.append(["replay time", f"{stats.replay_seconds * 1000:.2f} ms"])
-    for name, seconds in stats.slowest_constraints(slowest):
-        rows.append([f"constraint {name}", f"{seconds * 1000:.2f} ms"])
-    return render_rows(rows)

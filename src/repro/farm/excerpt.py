@@ -1,12 +1,11 @@
 """Schema excerpts on the wire, and foreign installation on arrival.
 
-The export side is a composition of two satellites: the Appendix-A
-:func:`~repro.analyzer.namespaces.public_closure` decides *which* facts
-a schema exports, and :func:`~repro.datalog.snapshot.export_excerpt`
-detaches them from the home shard's interned store.  The wire form
-reuses the persistence layer's tagged value encoding
-(:func:`~repro.gom.persistence.encode_value`), so ids round-trip the
-same way they do in the WAL and the snapshot file.
+The export side is the Appendix-A
+:func:`~repro.analyzer.namespaces.public_closure`, which decides *which*
+facts a schema exports, shipped as :func:`~repro.gom.persistence.encode_atom`
+rows: the WAL's op-record form, so ids round-trip the same way they do
+in the WAL and the snapshot file.  The importing shard decodes the rows
+with :func:`~repro.gom.persistence.decode_atom`.
 
 The install side runs on the importing shard, inside an ordinary
 WAL-logged evolution session: foreign facts land in the main EDB (the
@@ -21,48 +20,20 @@ removal, because two schemas homed on one shard may share base types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import List, Sequence, Set
 
 from repro.analyzer.namespaces import public_closure
-from repro.datalog.snapshot import RelationExcerpt, export_excerpt
 from repro.datalog.terms import Atom
 from repro.gom.ids import Id
-from repro.gom.persistence import decode_value, encode_value
+from repro.gom.persistence import encode_atom
 
-__all__ = ["ForeignInstallPlan", "excerpt_from_wire", "excerpt_to_wire",
-           "install_foreign_schema", "plan_foreign_install",
-           "schema_excerpt"]
-
-
-def schema_excerpt(model, sid: Id) -> RelationExcerpt:
-    """Detach the public closure of *sid* from *model*'s fact store."""
-    selection: Dict[str, List[Atom]] = {}
-    for atom in public_closure(model, sid):
-        selection.setdefault(atom.pred, []).append(atom)
-    return export_excerpt(model.db.edb, selection=selection)
+__all__ = ["ForeignInstallPlan", "install_foreign_schema",
+           "plan_foreign_install", "schema_excerpt"]
 
 
-# -- wire form ---------------------------------------------------------------
-
-
-def excerpt_to_wire(excerpt: RelationExcerpt) -> Dict[str, object]:
-    """A JSON-safe form of an excerpt (codes + tagged value slice)."""
-    return {
-        "rows": {pred: [list(codes) for codes in rows]
-                 for pred, rows in excerpt.rows.items()},
-        "values": {str(code): encode_value(value)
-                   for code, value in excerpt.values.items()},
-    }
-
-
-def excerpt_from_wire(payload: Dict[str, object]) -> RelationExcerpt:
-    """Invert :func:`excerpt_to_wire`."""
-    return RelationExcerpt(
-        rows={pred: [tuple(codes) for codes in rows]
-              for pred, rows in payload["rows"].items()},
-        values={int(code): decode_value(value)
-                for code, value in payload["values"].items()},
-    )
+def schema_excerpt(model, sid: Id) -> List[List[object]]:
+    """The public closure of *sid* as JSON-safe ``encode_atom`` rows."""
+    return [encode_atom(atom) for atom in public_closure(model, sid)]
 
 
 # -- foreign installation ----------------------------------------------------

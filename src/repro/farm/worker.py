@@ -6,8 +6,11 @@ arrive as fuzzer-format plans (:class:`~repro.fuzz.history.SessionPlan`)
 and replay through a persistent :class:`~repro.fuzz.replay.Replayer`,
 whose handles survive across sessions — create schema ``s0`` in one
 session and evolve ``@s0`` in the next, or ``bind`` a handle to an
-existing schema by name.  Every kind here touches the live model, so
-each runs under the node's write lock.
+existing schema by name.  Cross-shard imports travel as
+``export_excerpt`` (the home shard's public closure as ``encode_atom``
+rows) and ``install_foreign`` (decoded with ``decode_atom`` and
+installed in one evolution session).  Every kind here touches the live
+model, so each runs under the node's write lock.
 """
 
 from __future__ import annotations
@@ -16,16 +19,11 @@ from typing import Dict, Optional
 
 from repro.errors import InconsistentSchemaError
 from repro.farm import FARM_FEATURES, ID_STRIDE
-from repro.farm.excerpt import (
-    excerpt_from_wire,
-    excerpt_to_wire,
-    install_foreign_schema,
-    schema_excerpt,
-)
+from repro.farm.excerpt import install_foreign_schema, schema_excerpt
 from repro.fuzz.history import SessionPlan
 from repro.fuzz.replay import Replayer
 from repro.gom.ids import KINDS, Id
-from repro.gom.persistence import decode_value, encode_value
+from repro.gom.persistence import decode_atom, decode_value, encode_value
 from repro.node import Node, NodeError, resolve_schema
 
 __all__ = ["ShardWorker"]
@@ -102,14 +100,11 @@ class ShardWorker(Node):
         if sid is None:
             raise NodeError(
                 f"no schema {message['schema']!r} on shard {self.shard}")
-        excerpt = schema_excerpt(self.model, sid)
         return {"sid": encode_value(sid),
-                "excerpt": excerpt_to_wire(excerpt),
-                "facts": excerpt.fact_count}
+                "excerpt": schema_excerpt(self.model, sid)}
 
     def _handle_install_foreign(self, message) -> Dict[str, object]:
-        excerpt = excerpt_from_wire(message["excerpt"])
-        atoms = list(excerpt.decoded())
+        atoms = [decode_atom(row) for row in message["excerpt"]]
         epoch = install_foreign_schema(
             self.manager, decode_value(message["sid"]), atoms,
             home_shard=message["home_shard"],

@@ -169,7 +169,7 @@ class SchemaReadMixin:
     :class:`SchemaSnapshot` instances handed to concurrent readers.
     """
 
-    db: object  # a DeductiveDatabase or SnapshotDatabase
+    db: object  # a ReadableDatabase: the live engine or a snapshot
 
     def schema_id(self, name: str) -> Optional[Id]:
         for fact in self.db.matching(Atom("Schema", (None, name))):

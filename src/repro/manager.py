@@ -296,7 +296,7 @@ class SchemaManager:
         commit / rollback: facts scanned, index lookups, join tuples,
         plans compiled vs. reused, and per-constraint check time.  None
         until a session has ended.  Render with
-        :func:`repro.datalog.pretty.render_stats` or inspect via
+        :meth:`EngineStats.describe` or inspect via
         :meth:`EngineStats.as_dict`.
         """
         return self.model.last_session_stats

@@ -12,7 +12,7 @@ The registry also *absorbs* finished :class:`~repro.datalog.plan.EngineStats`
 objects (:meth:`MetricsRegistry.absorb_engine_stats`): the per-session
 hot-path counters stay as cheap ``stats.x += 1`` integer bumps inside
 the engine, and are folded into the registry once per session at
-publish time.  ``EngineStats`` / ``render_stats()`` therefore remain the
+publish time.  ``EngineStats`` / ``describe()`` therefore remain the
 per-session view; the registry is the cross-session aggregate that
 supersedes them for long-running processes.
 

@@ -8,6 +8,6 @@ Past one process, :class:`repro.farm.SchemaFarm` runs one durable
 manager *process* per shard, scaling writers too.
 """
 
-from repro.service.service import ReadSession, SchemaService
+from repro.service.service import SchemaService
 
-__all__ = ["ReadSession", "SchemaService"]
+__all__ = ["SchemaService"]

@@ -10,7 +10,10 @@ unit of schema change; this module makes it the atomic unit of
   an immutable copy-on-write image of the deductive database (EDB plus
   saturated IDB) stamped with an epoch.  Opening a snapshot takes no
   lock: publication swaps one reference, readers grab whichever image
-  is current and keep it for as long as they like.
+  is current and keep it for as long as they like.  A read request is
+  a callable that receives the snapshot itself, which carries the
+  model's read helpers (``type_name``, ``attributes``, …), ``epoch``,
+  ``check()`` and ``versions``.
 
 * **Writes** (evolution sessions) are serialized by the model's writer
   lock and publish a new snapshot at every successful EES (commit).
@@ -34,61 +37,10 @@ from repro.control.protocol import (
     RepairChooser,
     choose_first,
 )
+from repro.gom.model import SchemaSnapshot
 from repro.manager import SchemaManager
 
-__all__ = ["ReadSession", "SchemaService"]
-
-
-class ReadSession:
-    """A lock-free read session pinned to one published snapshot.
-
-    Every read helper of the schema model (``type_id``, ``attributes``,
-    ``is_subtype``, ``supertypes``, ``resolve_operation``, …) is
-    available directly on the session — delegated to the snapshot —
-    plus ``check()`` and ``versions`` for consistency and
-    version-lineage queries.  The session observes one epoch for its
-    whole lifetime: a writer committing concurrently publishes a *new*
-    snapshot and never mutates this one.
-    """
-
-    __slots__ = ("snapshot", "opened_at")
-
-    def __init__(self, snapshot) -> None:
-        self.snapshot = snapshot
-        self.opened_at = time.monotonic()
-
-    @property
-    def epoch(self) -> int:
-        return self.snapshot.epoch
-
-    @property
-    def db(self):
-        """The snapshot's read-only deductive database."""
-        return self.snapshot.db
-
-    @property
-    def versions(self):
-        return self.snapshot.versions
-
-    def check(self):
-        """A full consistency check against this snapshot."""
-        return self.snapshot.check()
-
-    def age_seconds(self) -> float:
-        """Seconds since this session's snapshot was published."""
-        return self.snapshot.age_seconds()
-
-    def perform(self, request: Callable[["ReadSession"], object]) -> object:
-        """Run one read request against this session (batch unit)."""
-        return request(self)
-
-    def __getattr__(self, name: str):
-        # Delegate the SchemaReadMixin helpers (and anything else the
-        # snapshot exposes) so a ReadSession reads like the model.
-        return getattr(self.snapshot, name)
-
-    def __repr__(self) -> str:
-        return f"<ReadSession epoch={self.snapshot.epoch}>"
+__all__ = ["SchemaService"]
 
 
 class SchemaService:
@@ -125,20 +77,16 @@ class SchemaService:
                 snapshot.age_seconds() * 1000.0)
         return snapshot
 
-    def read_session(self) -> ReadSession:
-        """Open a read session pinned to the current snapshot."""
-        return ReadSession(self.snapshot())
-
-    def submit(self, request: Callable[[ReadSession], object]) -> Future:
+    def submit(self, request: Callable[[SchemaSnapshot], object]) -> Future:
         """Dispatch one read request to the pool; returns a future.
 
-        The request receives a fresh :class:`ReadSession` (pinned to
-        the snapshot current at execution time, not submission time).
+        The request receives the :class:`~repro.gom.model.SchemaSnapshot`
+        current at execution time, not submission time.
         """
         return self._submit_read(request, None)
 
-    def _submit_read(self, request: Callable[[ReadSession], object],
-                     session: Optional[ReadSession]) -> Future:
+    def _submit_read(self, request: Callable[[SchemaSnapshot], object],
+                     snapshot: Optional[SchemaSnapshot]) -> Future:
         """Pool dispatch with a close-safe guard.
 
         Checking ``_closed`` first is not enough: ``close()`` on another
@@ -149,15 +97,15 @@ class SchemaService:
         if self._closed:
             raise RuntimeError("the schema service is closed")
         try:
-            return self._pool.submit(self._run_read, request, session)
+            return self._pool.submit(self._run_read, request, snapshot)
         except RuntimeError as exc:  # pool shut down under us
             raise RuntimeError("the schema service is closed") from exc
 
-    def read(self, request: Callable[[ReadSession], object]) -> object:
+    def read(self, request: Callable[[SchemaSnapshot], object]) -> object:
         """Dispatch one read request and wait for its result."""
         return self.submit(request).result()
 
-    def batch(self, requests: Sequence[Callable[[ReadSession], object]]
+    def batch(self, requests: Sequence[Callable[[SchemaSnapshot], object]]
               ) -> List[object]:
         """Run several read requests against **one** snapshot.
 
@@ -165,18 +113,18 @@ class SchemaService:
         between two of its requests cannot make the batch see two
         different schemas.  Results come back in request order.
         """
-        session = self.read_session()
-        futures = [self._submit_read(request, session)
+        snapshot = self.snapshot()
+        futures = [self._submit_read(request, snapshot)
                    for request in requests]
         return [future.result() for future in futures]
 
-    def _run_read(self, request: Callable[[ReadSession], object],
-                  session: Optional[ReadSession]) -> object:
-        if session is None:
-            session = self.read_session()
+    def _run_read(self, request: Callable[[SchemaSnapshot], object],
+                  snapshot: Optional[SchemaSnapshot]) -> object:
+        if snapshot is None:
+            snapshot = self.snapshot()
         started = time.perf_counter()
-        with self.obs.span("service.read", epoch=session.epoch):
-            result = session.perform(request)
+        with self.obs.span("service.read", epoch=snapshot.epoch):
+            result = request(snapshot)
         if self.obs.enabled:
             self.obs.metrics.counter("service.reads").inc()
             self.obs.metrics.histogram("service.read_ms").observe(

@@ -40,8 +40,9 @@ __all__ = ["HEADER", "MAX_FRAME_BYTES", "ProtocolError", "WorkerDied",
 
 HEADER = struct.Struct("<II")  # payload length, payload crc32
 
-#: Hard cap on one payload.  A whole-EDB farm excerpt of a large shard
-#: is a few MB; anything near this is a runaway, not a workload.
+#: Hard cap on one payload.  A farm excerpt (a schema's public closure
+#: as ``encode_atom`` rows) of a large schema is a few MB; anything
+#: near this is a runaway, not a workload.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 

@@ -10,7 +10,6 @@ are reused across several sessions of one manager lifetime.
 import pytest
 
 from repro.errors import InconsistentSchemaError
-from repro.datalog.pretty import render_stats
 from repro.datalog.terms import Atom
 from repro.gom.builtins import builtin_type
 from repro.manager import SchemaManager
@@ -80,10 +79,10 @@ class TestStatsSurface:
         name, _seconds = stats.slowest_constraints(1)[0]
         assert name in stats.constraint_seconds
 
-    def test_render_stats(self, manager):
+    def test_describe_stats(self, manager):
         session = manager.begin_session()
         session.commit(require_consistent=False)
-        text = render_stats(manager.last_session_stats())
+        text = manager.last_session_stats().describe()
         assert "plans compiled" in text
         assert "facts scanned" in text
 

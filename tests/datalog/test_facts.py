@@ -10,7 +10,6 @@ from repro.errors import (
 )
 from repro.datalog.engine import DeductiveDatabase
 from repro.datalog.facts import FactStore, PredicateDecl, Relation
-from repro.datalog.pretty import render_stats
 from repro.datalog.terms import Atom, Variable
 from repro.obs.metrics import MetricsRegistry
 
@@ -199,7 +198,6 @@ class TestCopyOnWriteCounters:
         database.add_fact(Atom("edge", (2, 77)))
         assert stats.as_dict()["cow_relations"] == 1
         assert "snapshot CoW" in stats.describe()
-        assert "snapshot CoW" in render_stats(stats)
         registry = MetricsRegistry()
         registry.absorb_engine_stats(stats)
         assert registry.counters["engine.cow_relations"].value == 1

@@ -1,7 +1,7 @@
 """Clock-source regressions for snapshot/session age accounting.
 
-Ages (``SchemaSnapshot.age_seconds``, ``ReadSession.age_seconds``, and
-the replication lag gauges built on them) must be anchored to
+Ages (``SchemaSnapshot.age_seconds``, read directly and on the snapshot a
+service request receives, and the replication lag gauges built on them) must be anchored to
 ``time.monotonic()``.  A wall-clock anchor silently corrupts every age
 the moment NTP steps the clock: a backwards step yields negative ages
 (lag gauges go negative, staleness checks always pass), a forwards
@@ -65,7 +65,7 @@ def test_ages_ignore_wall_clock_steps(service, monkeypatch, delta):
     assert abs(after - before) < 1.0
     assert after >= 0.0
 
-    reader = service.read_session()
+    reader = service.read(lambda snapshot: snapshot)
     age_before = reader.age_seconds()
     step_wall_clock(monkeypatch, -delta)
     assert abs(reader.age_seconds() - age_before) < 1.0
@@ -78,7 +78,7 @@ def test_ages_track_the_monotonic_clock(service, monkeypatch):
     aged = snapshot.age_seconds()
     assert aged == pytest.approx(base + 42.0, abs=1.0)
 
-    reader = service.read_session()
+    reader = service.read(lambda snapshot: snapshot)
     base = reader.age_seconds()
     step_monotonic(monkeypatch, 7.0)
     assert reader.age_seconds() == pytest.approx(base + 7.0, abs=1.0)

@@ -104,7 +104,7 @@ class TestRestart:
 
     def test_pinned_session_survives_close_and_restart(self, manager):
         service = manager.serve(readers=2)
-        pinned = service.read_session()
+        pinned = service.read(lambda snapshot: snapshot)
         old_epoch = pinned.epoch
         tid = pinned.type_id("T")
         service.close()
@@ -116,7 +116,7 @@ class TestRestart:
         with manager.serve(readers=2) as fresh:
             new_attrs = fresh.read(lambda rs: dict(rs.attributes(tid)))
             assert set(new_attrs) == {"x", "y"}
-            # The pinned session still serves its original epoch's image.
+            # The pinned snapshot still serves its original epoch's image.
             assert pinned.epoch == old_epoch
             assert set(dict(pinned.attributes(tid))) == {"x"}
 

@@ -7,7 +7,8 @@ import pytest
 from repro.gom.builtins import builtin_type
 from repro.manager import SchemaManager
 from repro.obs import Observability
-from repro.service import ReadSession, SchemaService
+from repro.gom.model import SchemaSnapshot
+from repro.service import SchemaService
 
 SOURCE = """
 schema S is
@@ -43,15 +44,16 @@ class TestReads:
             assert worker.startswith("schema-reader")
             assert worker != threading.current_thread().name
 
-    def test_read_session_delegates_schema_helpers(self, manager):
+    def test_requests_receive_the_published_snapshot(self, manager):
         with manager.serve(readers=1) as service:
-            session = service.read_session()
-            assert isinstance(session, ReadSession)
-            tid = session.type_id("T")
-            assert session.attributes(tid) == [("x", builtin_type("int"))]
-            assert session.is_subtype(tid, tid)
-            assert session.check().consistent
-            assert session.age_seconds() >= 0.0
+            snapshot = service.read(lambda snap: snap)
+            assert isinstance(snapshot, SchemaSnapshot)
+            assert snapshot is manager.model.snapshot()
+            tid = snapshot.type_id("T")
+            assert snapshot.attributes(tid) == [("x", builtin_type("int"))]
+            assert snapshot.is_subtype(tid, tid)
+            assert snapshot.check().consistent
+            assert snapshot.age_seconds() >= 0.0
 
     def test_submit_returns_a_future(self, manager):
         with manager.serve(readers=2) as service:

@@ -10,7 +10,6 @@ from repro.datalog.terms import Atom
 from repro.errors import ReadOnlySnapshotError, SessionError
 from repro.gom.builtins import builtin_type
 from repro.manager import SchemaManager
-from repro.service.service import ReadSession
 
 SOURCE = """
 schema S is
@@ -153,18 +152,18 @@ class TestIsolation:
         gc.collect()
         gc.disable()
         try:
-            session = ReadSession(manager.model.snapshot())
-            assert session.type_id("T") == tid
-            assert session.check().consistent
-            snapshot_ref = weakref.ref(session.snapshot)
-            database_ref = weakref.ref(session.snapshot.db)
+            snapshot = manager.model.snapshot()
+            assert snapshot.type_id("T") == tid
+            assert snapshot.check().consistent
+            snapshot_ref = weakref.ref(snapshot)
+            database_ref = weakref.ref(snapshot.db)
             for index in range(2):
                 evolution = manager.begin_session()
                 _add_attribute(manager, evolution, tid, f"later_{index}")
                 evolution.commit()
             assert snapshot_ref() is not None
             assert database_ref() is not None
-            del session
+            del snapshot
             # No gc.collect(): the retired epoch holds no reference cycle.
             assert snapshot_ref() is None
             assert database_ref() is None
